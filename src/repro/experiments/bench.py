@@ -64,9 +64,8 @@ from repro.service.bench import (
     run_shard_scaling_bench,
 )
 
-#: Format marker of BENCH_*.json reports (v1 reports are still readable).
+#: Format marker of BENCH_*.json reports.
 BENCH_FORMAT = "geacc-bench-v2"
-_BENCH_FORMAT_V1 = "geacc-bench-v1"
 
 #: The Fig. 3/4 algorithm set -- the solvers whose speed the paper plots.
 DEFAULT_BENCH_SOLVERS = ("greedy", "mincostflow", "random-v", "random-u")
@@ -290,8 +289,6 @@ class BenchReport:
     def from_json(cls, data: dict) -> "BenchReport":
         if not isinstance(data, dict):
             raise ReproError(f"not a {BENCH_FORMAT} report")
-        if data.get("format") == _BENCH_FORMAT_V1:
-            return cls._from_json_v1(data)
         if data.get("format") != BENCH_FORMAT:
             raise ReproError(f"not a {BENCH_FORMAT} report")
         return cls(
@@ -301,34 +298,6 @@ class BenchReport:
                 for name, entry in sorted(data["tiers"].items())
             ),
         )
-
-    @classmethod
-    def _from_json_v1(cls, data: dict) -> "BenchReport":
-        """Read a v1 report as a single tier named after its scale.
-
-        v1 kept one workload shape at the report level; v2 pushes it
-        down to each solver, so the shared shape is copied into every
-        solver entry during the lift.
-        """
-        shape = {
-            "n_events": int(data["n_events"]),
-            "n_users": int(data["n_users"]),
-        }
-        tier = TierReport(
-            tier=str(data["scale"]),
-            seed=int(data["seed"]),
-            repeats=int(data["repeats"]),
-            results=tuple(
-                SolverBench.from_json(name, {**shape, **entry})
-                for name, entry in sorted(data["solvers"].items())
-            ),
-            service=(
-                ServiceBench.from_json(data["service"])
-                if "service" in data
-                else None
-            ),
-        )
-        return cls(python=str(data.get("python", "")), tiers=(tier,))
 
 
 def merge_reports(base: BenchReport, update: BenchReport) -> BenchReport:

@@ -126,10 +126,8 @@ class MicroBatchEngine:
         max_pending: Admission-control queue bound.
         ladder: Solver names for :func:`solve_with_ladder`, best first.
         solver: Optional replacement for :func:`solve_with_ladder` with
-            the same ``(instance, ladder, *, timeout)`` signature. The
-            shard coordinator injects
-            :func:`repro.parallel.shardsolve.solve_shard_batch` here so
-            shard batches solve over zero-copy shared-memory views.
+            the same ``(instance, ladder, *, timeout)`` signature, e.g. a
+            wrapper that times or counts each batch solve.
     """
 
     def __init__(
@@ -291,50 +289,16 @@ class MicroBatchEngine:
     def _solve_open_remainder(self, store: ArrangementStore) -> Delta:
         """Re-solve the un-frozen remainder; never worsen the standing state.
 
-        Builds the restricted instance the
-        :class:`~repro.simulation.policies.RebatchPolicy` would build --
-        open events keep their capacity, frozen/cancelled ones drop to
-        zero, user capacities shrink by frozen commitments, and a pair's
-        similarity is zeroed when the user's frozen commitments conflict
-        with the event -- then runs the degradation ladder under the
-        batch deadline. The solved arrangement replaces the standing
-        open assignment only if it does not lower the open MaxSum, so a
-        deadline-starved rung can never regress the arrangement.
+        Builds the restricted instance (:func:`open_remainder`), then
+        runs the degradation ladder under the batch deadline. The solved
+        arrangement replaces the standing open assignment only if it
+        does not lower the open MaxSum, so a deadline-starved rung can
+        never regress the arrangement.
         """
-        open_events = store.open_events()
-        if not open_events or store.n_users == 0:
+        if not store.open_events() or store.n_users == 0:
             return Delta()
-        n_events, n_users = store.n_events, store.n_users
-        sims = np.zeros((n_events, n_users))
-        frozen_of_user = [
-            frozenset(
-                e for e in store.events_of(u) if not store.is_open(e)
-            )
-            for u in range(n_users)
-        ]
-        for event in open_events:
-            row = store.sim_row(event)
-            for user in range(n_users):
-                if row[user] <= 0:
-                    continue
-                if store.conflicts_with_any(event, frozen_of_user[user]):
-                    continue
-                sims[event, user] = row[user]
-
-        event_capacities = np.zeros(n_events, dtype=np.int64)
-        for event in open_events:
-            event_capacities[event] = store.event_capacity(event)
-        user_capacities = np.asarray(
-            [
-                store.user_capacity(u) - len(frozen_of_user[u])
-                for u in range(n_users)
-            ],
-            dtype=np.int64,
-        )
-        conflicts = store.snapshot_instance().conflicts
-        sub_instance = Instance(
-            event_capacities, user_capacities, conflicts, sims=sims
-        )
+        sub_instance = open_remainder(store)
+        sims = sub_instance.sims
         result = self._solve(
             sub_instance, self.ladder, timeout=self.solve_timeout
         )
@@ -361,7 +325,7 @@ class MicroBatchEngine:
         # so components sharing any user (in either arrangement) are
         # merged into one accept/reject unit first.
         clusters = DisjointSet()
-        for event in range(n_events):
+        for event in range(store.n_events):
             clusters.add(event)
             for other in store.event_conflicts(event):
                 clusters.union(event, other)
@@ -392,3 +356,37 @@ class MicroBatchEngine:
             assigns=tuple(sorted(assigns)),
             unassigns=tuple(sorted(unassigns)),
         )
+
+
+def open_remainder(store: ArrangementStore) -> Instance:
+    """The restricted instance a batch re-solves.
+
+    It is the instance :class:`~repro.simulation.policies.RebatchPolicy`
+    would build: open events keep their capacity, frozen/cancelled ones
+    drop to zero, user capacities shrink by frozen commitments, and a
+    pair's similarity is zeroed when the user's frozen commitments
+    conflict with the event. Built from the cached similarity rows of
+    the open events with array operations, so the Python work is
+    O(|V| + |CF|) rather than O(|V| * |U|). The store must hold at least
+    one open event.
+    """
+    n_events = store.n_events
+    open_events = store.open_events()
+    sims = np.zeros((n_events, store.n_users))
+    sims[open_events] = np.vstack([store.sim_row(e) for e in open_events])
+    event_capacities = np.zeros(n_events, dtype=np.int64)
+    event_capacities[open_events] = [store.event_capacity(e) for e in open_events]
+    user_capacities = store.user_capacities()
+    # Seats on closed events stay fixed for this batch: they use up
+    # capacity, and they block their users from every event in conflict
+    # with the closed one (the conflict x frozen-seat product, one
+    # closed event at a time; closed rows are zero already).
+    for event in range(n_events):
+        if store.is_open(event) or not store.users_of(event):
+            continue
+        seated = list(store.users_of(event))
+        user_capacities[seated] -= 1
+        sims[np.ix_(list(store.event_conflicts(event)), seated)] = 0.0
+    return Instance(
+        event_capacities, user_capacities, store.conflict_graph(), sims=sims
+    )

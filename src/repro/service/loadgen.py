@@ -30,6 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -158,6 +159,125 @@ class ReplayReport:
         }
 
 
+def _store_config(
+    instance: Instance, timeline: Timeline, bound: str
+) -> StoreConfig:
+    """Check the replay inputs; the store config the service runs on."""
+    if instance.event_attributes is None or instance.user_attributes is None:
+        raise ServiceError(
+            "geacc replay needs an attribute-backed instance (the service "
+            "computes similarities from attributes)"
+        )
+    if bound not in BOUNDS:
+        raise ServiceError(f"unknown bound {bound!r} (choose from {sorted(BOUNDS)})")
+    timeline.validate_against(instance)
+    return StoreConfig(
+        dimension=instance.event_attributes.shape[1],
+        t=instance.t,
+        metric=instance.metric,
+    )
+
+
+def _await(futures: list[PendingRequest]) -> None:
+    for request in futures:
+        if not request.done:
+            request.wait(REQUEST_WAIT_S)
+
+
+def _drive(
+    service: ArrangementService | ShardCoordinator,
+    instance: Instance,
+    timeline: Timeline,
+) -> tuple[list[PendingRequest], int]:
+    """Issue the timeline's commands in time order; wait out every request.
+
+    Returns the admitted requests and the number refused by admission
+    control.
+    """
+    assert instance.event_attributes is not None
+    assert instance.user_attributes is not None
+    moments: list[tuple[float, int, int]] = []
+    # Same intra-instant order as the simulator: posts, arrivals, freezes.
+    for event, t in enumerate(timeline.post_times):
+        moments.append((float(t), 0, event))
+    for user, t in enumerate(timeline.arrival_times):
+        moments.append((float(t), 1, user))
+    for event, t in enumerate(timeline.start_times):
+        moments.append((float(t), 2, event))
+    moments.sort()
+
+    event_ids: dict[int, int] = {}
+    futures: list[PendingRequest] = []
+    overloaded = 0
+    for _, kind, entity in moments:
+        if kind == 0:
+            conflicts = [
+                event_ids[w]
+                for w in sorted(instance.conflicts.conflicts_with(entity))
+                if w in event_ids
+            ]
+            event_ids[entity] = service.post_event(
+                capacity=int(instance.event_capacities[entity]),
+                attributes=[float(x) for x in instance.event_attributes[entity]],
+                conflicts=conflicts,
+            )
+        elif kind == 1:
+            user = service.register_user(
+                capacity=int(instance.user_capacities[entity]),
+                attributes=[float(x) for x in instance.user_attributes[entity]],
+            )
+            try:
+                request = service.request_assignment(user, wait=False)
+                assert isinstance(request, PendingRequest)
+                futures.append(request)
+            except ServiceOverloadedError:
+                overloaded += 1
+        else:
+            # Barrier: the engine sees every earlier registration
+            # before the freeze lands (see module docstring).
+            _await(futures)
+            service.freeze_event(event_ids[entity])
+    _await(futures)
+    return futures, overloaded
+
+
+def _report(
+    instance: Instance,
+    timeline: Timeline,
+    bound: str,
+    futures: list[PendingRequest],
+    **fields: Any,
+) -> ReplayReport:
+    """Latency percentiles and baseline/bound scoring of a finished run."""
+    latencies_ms = sorted(
+        1000.0 * request.latency_s
+        for request in futures
+        if request.latency_s is not None
+    )
+    if latencies_ms:
+        p50, p90, p99 = (
+            float(np.percentile(latencies_ms, q)) for q in (50.0, 90.0, 99.0)
+        )
+        max_ms = latencies_ms[-1]
+    else:
+        p50 = p90 = p99 = max_ms = 0.0
+
+    baseline = Simulator(instance, timeline).run(GreedyArrivalPolicy())
+    return ReplayReport(
+        n_events=instance.n_events,
+        n_users=instance.n_users,
+        n_requests=len(futures),
+        p50_ms=p50,
+        p90_ms=p90,
+        p99_ms=p99,
+        max_ms=max_ms,
+        bound=float(BOUNDS[bound](instance)),
+        bound_kind=bound,
+        baseline_max_sum=baseline.achieved_max_sum,
+        **fields,
+    )
+
+
 def replay_timeline(
     instance: Instance,
     timeline: Timeline,
@@ -185,36 +305,8 @@ def replay_timeline(
         verify_replay: After the run, replay the journal and require the
             reconstructed state digest to match the live one.
     """
-    if instance.event_attributes is None or instance.user_attributes is None:
-        raise ServiceError(
-            "geacc replay needs an attribute-backed instance (the service "
-            "computes similarities from attributes)"
-        )
-    if bound not in BOUNDS:
-        raise ServiceError(f"unknown bound {bound!r} (choose from {sorted(BOUNDS)})")
-    timeline.validate_against(instance)
-
-    config = StoreConfig(
-        dimension=instance.event_attributes.shape[1],
-        t=instance.t,
-        metric=instance.metric,
-    )
+    config = _store_config(instance, timeline, bound)
     started = time.perf_counter()
-    moments: list[tuple[float, int, int]] = []
-    # Same intra-instant order as the simulator: posts, arrivals, freezes.
-    for event, t in enumerate(timeline.post_times):
-        moments.append((float(t), 0, event))
-    for user, t in enumerate(timeline.arrival_times):
-        moments.append((float(t), 1, user))
-    for event, t in enumerate(timeline.start_times):
-        moments.append((float(t), 2, event))
-    moments.sort()
-
-    event_ids: dict[int, int] = {}
-    user_ids: dict[int, int] = {}
-    futures: list[PendingRequest] = []
-    overloaded = 0
-
     with ArrangementService.create(
         journal_path,
         config,
@@ -224,41 +316,7 @@ def replay_timeline(
         ladder=ladder,
         threaded=True,
     ) as service:
-        for _, kind, entity in moments:
-            if kind == 0:
-                conflicts = [
-                    event_ids[w]
-                    for w in sorted(instance.conflicts.conflicts_with(entity))
-                    if w in event_ids
-                ]
-                event_ids[entity] = service.post_event(
-                    capacity=int(instance.event_capacities[entity]),
-                    attributes=[float(x) for x in instance.event_attributes[entity]],
-                    conflicts=conflicts,
-                )
-            elif kind == 1:
-                user_ids[entity] = service.register_user(
-                    capacity=int(instance.user_capacities[entity]),
-                    attributes=[float(x) for x in instance.user_attributes[entity]],
-                )
-                try:
-                    request = service.request_assignment(
-                        user_ids[entity], wait=False
-                    )
-                    assert isinstance(request, PendingRequest)
-                    futures.append(request)
-                except ServiceOverloadedError:
-                    overloaded += 1
-            else:
-                # Barrier: the engine sees every earlier registration
-                # before the freeze lands (see module docstring).
-                for request in futures:
-                    if not request.done:
-                        request.wait(REQUEST_WAIT_S)
-                service.freeze_event(event_ids[entity])
-        for request in futures:
-            if not request.done:
-                request.wait(REQUEST_WAIT_S)
+        futures, overloaded = _drive(service, instance, timeline)
         service.check_invariants()
         achieved = service.store.max_sum()
         live_digest = service.store.digest()
@@ -275,36 +333,14 @@ def replay_timeline(
                 "live state (digest mismatch)"
             )
 
-    latencies_ms = sorted(
-        1000.0 * request.latency_s
-        for request in futures
-        if request.latency_s is not None
-    )
-    if latencies_ms:
-        p50, p90, p99 = (
-            float(np.percentile(latencies_ms, q)) for q in (50.0, 90.0, 99.0)
-        )
-        max_ms = latencies_ms[-1]
-    else:
-        p50 = p90 = p99 = max_ms = 0.0
-
-    baseline = Simulator(instance, timeline).run(GreedyArrivalPolicy())
-    bound_value = BOUNDS[bound](instance)
-
-    return ReplayReport(
-        n_events=instance.n_events,
-        n_users=instance.n_users,
-        n_requests=len(futures),
+    return _report(
+        instance,
+        timeline,
+        bound,
+        futures,
         n_batches=n_batches,
         overloaded=overloaded,
-        p50_ms=p50,
-        p90_ms=p90,
-        p99_ms=p99,
-        max_ms=max_ms,
         achieved_max_sum=achieved,
-        bound=float(bound_value),
-        bound_kind=bound,
-        baseline_max_sum=baseline.achieved_max_sum,
         seconds=seconds,
         journal_path=str(journal_path),
         replay_verified=replay_verified,
@@ -339,36 +375,9 @@ def replay_timeline_sharded(
     shard's live digest, and a full coordinator recovery (manifest walk
     included) must reproduce the global arrangement digest.
     """
-    if instance.event_attributes is None or instance.user_attributes is None:
-        raise ServiceError(
-            "geacc replay needs an attribute-backed instance (the service "
-            "computes similarities from attributes)"
-        )
-    if bound not in BOUNDS:
-        raise ServiceError(f"unknown bound {bound!r} (choose from {sorted(BOUNDS)})")
+    config = _store_config(instance, timeline, bound)
     if shards < 1:
         raise ServiceError(f"shards must be >= 1, got {shards}")
-    timeline.validate_against(instance)
-
-    config = StoreConfig(
-        dimension=instance.event_attributes.shape[1],
-        t=instance.t,
-        metric=instance.metric,
-    )
-    moments: list[tuple[float, int, int]] = []
-    for event, t in enumerate(timeline.post_times):
-        moments.append((float(t), 0, event))
-    for user, t in enumerate(timeline.arrival_times):
-        moments.append((float(t), 1, user))
-    for event, t in enumerate(timeline.start_times):
-        moments.append((float(t), 2, event))
-    moments.sort()
-
-    event_ids: dict[int, int] = {}
-    user_ids: dict[int, int] = {}
-    futures: list[PendingRequest] = []
-    overloaded = 0
-
     root = Path(root)
     started = time.perf_counter()
     with ShardCoordinator.create(
@@ -380,54 +389,12 @@ def replay_timeline_sharded(
         max_pending=max_pending,
         ladder=ladder,
     ) as coordinator:
-        for _, kind, entity in moments:
-            if kind == 0:
-                conflicts = [
-                    event_ids[w]
-                    for w in sorted(instance.conflicts.conflicts_with(entity))
-                    if w in event_ids
-                ]
-                event_ids[entity] = coordinator.post_event(
-                    capacity=int(instance.event_capacities[entity]),
-                    attributes=[
-                        float(x) for x in instance.event_attributes[entity]
-                    ],
-                    conflicts=conflicts,
-                )
-            elif kind == 1:
-                user_ids[entity] = coordinator.register_user(
-                    capacity=int(instance.user_capacities[entity]),
-                    attributes=[
-                        float(x) for x in instance.user_attributes[entity]
-                    ],
-                )
-                try:
-                    request = coordinator.request_assignment(
-                        user_ids[entity], wait=False
-                    )
-                    assert isinstance(request, PendingRequest)
-                    futures.append(request)
-                except ServiceOverloadedError:
-                    overloaded += 1
-            else:
-                coordinator.freeze_event(event_ids[entity])
+        futures, overloaded = _drive(coordinator, instance, timeline)
         coordinator.run_pending_batch()
         coordinator.check_invariants()
         summary = coordinator.state_summary()
         live_digest = coordinator.arrangement_digest()
     seconds = time.perf_counter() - started
-
-    shard_rows = tuple(
-        {
-            "shard": row["shard"],
-            "requests": row["requests_seen"],
-            "batches": row["batches_committed"],
-            "events": row["n_events"],
-            "users": row["n_users"],
-            "rps": row["requests_seen"] / seconds if seconds > 0 else 0.0,
-        }
-        for row in summary["sharding"]["per_shard"]
-    )
 
     replay_verified = False
     if verify_replay:
@@ -448,39 +415,27 @@ def replay_timeline_sharded(
                 )
         replay_verified = True
 
-    latencies_ms = sorted(
-        1000.0 * request.latency_s
-        for request in futures
-        if request.latency_s is not None
-    )
-    if latencies_ms:
-        p50, p90, p99 = (
-            float(np.percentile(latencies_ms, q)) for q in (50.0, 90.0, 99.0)
-        )
-        max_ms = latencies_ms[-1]
-    else:
-        p50 = p90 = p99 = max_ms = 0.0
-
-    baseline = Simulator(instance, timeline).run(GreedyArrivalPolicy())
-    bound_value = BOUNDS[bound](instance)
-
-    return ReplayReport(
-        n_events=instance.n_events,
-        n_users=instance.n_users,
-        n_requests=len(futures),
+    return _report(
+        instance,
+        timeline,
+        bound,
+        futures,
         n_batches=summary["batches_committed"],
         overloaded=overloaded,
-        p50_ms=p50,
-        p90_ms=p90,
-        p99_ms=p99,
-        max_ms=max_ms,
         achieved_max_sum=summary["max_sum"],
-        bound=float(bound_value),
-        bound_kind=bound,
-        baseline_max_sum=baseline.achieved_max_sum,
         seconds=seconds,
         journal_path=str(root),
         replay_verified=replay_verified,
         shards=shards,
-        per_shard=shard_rows,
+        per_shard=tuple(
+            {
+                "shard": row["shard"],
+                "requests": row["requests_seen"],
+                "batches": row["batches_committed"],
+                "events": row["n_events"],
+                "users": row["n_users"],
+                "rps": row["requests_seen"] / seconds if seconds > 0 else 0.0,
+            }
+            for row in summary["sharding"]["per_shard"]
+        ),
     )

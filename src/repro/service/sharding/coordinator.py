@@ -46,8 +46,6 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from repro.exceptions import JournalError, ServiceError
-from repro.parallel.maplib import thread_map
-from repro.parallel.shardsolve import solve_shard_batch
 from repro.service.engine import (
     DEFAULT_BATCH_MS,
     DEFAULT_LADDER,
@@ -83,11 +81,7 @@ class ShardCoordinator:
     Build with :meth:`create` (fresh shard root), :meth:`recover`
     (existing root -> reconstructed routing), or :meth:`open` (either).
     ``threaded=False`` drives every shard synchronously from the caller
-    (deterministic replay and tests); ``shared_solve`` routes shard
-    batches through :func:`~repro.parallel.shardsolve.solve_shard_batch`
-    (default: enabled exactly when threaded, so concurrent engine
-    threads solve zero-copy and the synchronous path stays allocation
-    free).
+    (deterministic replay and tests).
     """
 
     def __init__(
@@ -115,31 +109,6 @@ class ShardCoordinator:
     # Construction
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _service_kwargs(
-        *,
-        threaded: bool,
-        batch_ms: float,
-        solve_timeout: float,
-        max_pending: int,
-        ladder: tuple[str, ...],
-        retain: int,
-        compact_bytes: int | None,
-        shared_solve: bool | None,
-    ) -> dict:
-        if shared_solve is None:
-            shared_solve = threaded
-        return {
-            "threaded": threaded,
-            "batch_ms": batch_ms,
-            "solve_timeout": solve_timeout,
-            "max_pending": max_pending,
-            "ladder": ladder,
-            "retain": retain,
-            "compact_bytes": compact_bytes,
-            "batch_solver": solve_shard_batch if shared_solve else None,
-        }
-
     @classmethod
     def create(
         cls,
@@ -155,25 +124,26 @@ class ShardCoordinator:
         ladder: tuple[str, ...] = DEFAULT_LADDER,
         retain: int = DEFAULT_RETAIN,
         compact_bytes: int | None = None,
-        shared_solve: bool | None = None,
     ) -> "ShardCoordinator":
         """Create a fresh shard fleet under ``root``."""
         root = Path(root)
         if not fs.exists(root):
             fs.mkdir(root)
         manifest = ShardManifest.create(root / MANIFEST_NAME, config, shards, fs=fs)
-        kwargs = cls._service_kwargs(
-            threaded=threaded,
-            batch_ms=batch_ms,
-            solve_timeout=solve_timeout,
-            max_pending=max_pending,
-            ladder=ladder,
-            retain=retain,
-            compact_bytes=compact_bytes,
-            shared_solve=shared_solve,
-        )
         managers = [
-            ShardManager.create(root, shard, config, fs=fs, **kwargs)
+            ShardManager.create(
+                root,
+                shard,
+                config,
+                fs=fs,
+                threaded=threaded,
+                batch_ms=batch_ms,
+                solve_timeout=solve_timeout,
+                max_pending=max_pending,
+                ladder=ladder,
+                retain=retain,
+                compact_bytes=compact_bytes,
+            )
             for shard in range(shards)
         ]
         return cls(root, manifest, managers, threaded=threaded)
@@ -191,39 +161,33 @@ class ShardCoordinator:
         ladder: tuple[str, ...] = DEFAULT_LADDER,
         retain: int = DEFAULT_RETAIN,
         compact_bytes: int | None = None,
-        shared_solve: bool | None = None,
     ) -> "ShardCoordinator":
         """Restart a shard fleet from its root directory.
 
-        Every shard recovers through its own snapshot+tail ladder
-        (concurrently, via :func:`~repro.parallel.maplib.thread_map`,
-        when running on the real filesystem -- fault-injecting
-        filesystems get a deterministic serial walk). The manifest is
-        then replayed to rebuild the id maps and the partitioner, redo
-        any half-applied rebalance, and drop unacknowledged trailing
-        entries.
+        Every shard recovers through its own snapshot+tail ladder, one
+        shard after another. The manifest is then replayed to rebuild
+        the id maps and the partitioner, redo any half-applied
+        rebalance, and drop unacknowledged trailing entries.
         """
         root = Path(root)
         manifest, entries = ShardManifest.load(root / MANIFEST_NAME, fs=fs)
         config = manifest.config
-        kwargs = cls._service_kwargs(
-            threaded=threaded,
-            batch_ms=batch_ms,
-            solve_timeout=solve_timeout,
-            max_pending=max_pending,
-            ladder=ladder,
-            retain=retain,
-            compact_bytes=compact_bytes,
-            shared_solve=shared_solve,
-        )
-
-        def recover_one(shard: int) -> ShardManager:
-            return ShardManager.recover(root, shard, config, fs=fs, **kwargs)
-
-        if fs is REAL_FS and manifest.shards > 1:
-            managers = thread_map(recover_one, range(manifest.shards))
-        else:
-            managers = [recover_one(shard) for shard in range(manifest.shards)]
+        managers = [
+            ShardManager.recover(
+                root,
+                shard,
+                config,
+                fs=fs,
+                threaded=threaded,
+                batch_ms=batch_ms,
+                solve_timeout=solve_timeout,
+                max_pending=max_pending,
+                ladder=ladder,
+                retain=retain,
+                compact_bytes=compact_bytes,
+            )
+            for shard in range(manifest.shards)
+        ]
         coordinator = cls(root, manifest, managers, threaded=threaded)
         coordinator._replay_manifest(entries)
         return coordinator
@@ -556,10 +520,10 @@ class ShardCoordinator:
     ) -> tuple[int, ...] | PendingRequest:
         """Ask the owning shard's engine to (re)arrange ``user``.
 
-        In synchronous mode the caller's thread first re-solves any
-        *other* shard a mutation left stale (the unsharded engine would
-        have re-solved those components in the same batch), then drives
-        the owning shard's batch. Returns the user's standing events as
+        In synchronous mode the caller's thread first drives a batch on
+        every *other* shard -- a no-op unless a mutation left that shard
+        stale (the unsharded engine would have re-solved those
+        components in the same batch) -- then the owning shard's batch. Returns the user's standing events as
         global ids (``wait=True``) or the shard-local
         :class:`~repro.service.engine.PendingRequest` (``wait=False``).
         """
@@ -567,14 +531,10 @@ class ShardCoordinator:
             self._check_open()
             manager = self.managers[self._shard_of_user(user)]
             request = manager.request_assignment(user)
-            stale = (
-                []
-                if self._threaded
-                else [m for m in self.managers if m is not manager and m.dirty]
-            )
         if not self._threaded:
-            for other in stale:
-                other.resolve_if_dirty()
+            for other in self.managers:
+                if other is not manager:
+                    other.service.run_pending_batch()
             manager.service.run_pending_batch()
         if not wait:
             return request
@@ -596,7 +556,6 @@ class ShardCoordinator:
         """Drive one batch on every shard synchronously (tests, replay)."""
         total = 0
         for manager in self.managers:
-            manager.dirty = False
             total += manager.service.run_pending_batch()
         return total
 

@@ -53,9 +53,6 @@ class ShardManager:
         #: Entities tombstoned out of this shard by a rebalance.
         self.retired_events = 0
         self.retired_users = 0
-        #: True when a mutation invalidated the standing arrangement and
-        #: no batch has re-solved it yet (the coordinator's drain set).
-        self.dirty = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -248,7 +245,6 @@ class ShardManager:
         local_conflicts = [self.local_event(g) for g in conflict_gids]
         local = self.service.post_event(capacity, attributes, local_conflicts)
         self.bind_event(gid, local)
-        self.dirty = True
         self.service.engine.mark_dirty()
         return local
 
@@ -261,26 +257,17 @@ class ShardManager:
 
     def request_assignment(self, gid: int) -> PendingRequest:
         """Admit + journal an assignment request; never blocks."""
-        self.dirty = False  # the coming batch re-solves this shard anyway
         result = self.service.request_assignment(self.local_user(gid), wait=False)
         assert isinstance(result, PendingRequest)
         return result
 
     def freeze_event(self, gid: int) -> None:
         self.service.freeze_event(self.local_event(gid))
-        self.dirty = True
         self.service.engine.mark_dirty()
 
     def cancel_event(self, gid: int) -> None:
         self.service.cancel_event(self.local_event(gid))
-        self.dirty = True
         self.service.engine.mark_dirty()
-
-    def resolve_if_dirty(self) -> None:
-        """Synchronously re-solve when a mutation left the shard stale."""
-        if self.dirty:
-            self.dirty = False
-            self.service.run_pending_batch()
 
     def events_of(self, gid: int) -> tuple[int, ...]:
         """The user's standing events, as sorted global ids."""
@@ -415,7 +402,6 @@ class ShardManager:
         for gid in sorted(user_gids):
             self.service.retire_user(self.local_user(gid))
             self.unbind_user(gid)
-        self.dirty = True
         self.service.engine.mark_dirty()
 
     # ------------------------------------------------------------------

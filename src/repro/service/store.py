@@ -649,6 +649,22 @@ class ArrangementStore:
             self.config.metric,
         )
 
+    def conflict_graph(self) -> ConflictGraph:
+        """The live conflict set CF over every event slot."""
+        return ConflictGraph(
+            len(self._events),
+            [
+                (a, b)
+                for a, event in enumerate(self._events)
+                for b in event.conflicts
+                if a < b
+            ],
+        )
+
+    def user_capacities(self) -> np.ndarray:
+        """Every user's capacity, as an ``int64`` vector indexed by id."""
+        return np.asarray([u.capacity for u in self._users], dtype=np.int64)
+
     def snapshot_instance(self) -> Instance:
         """Freeze the live state into a batch :class:`Instance`.
 
@@ -658,19 +674,10 @@ class ArrangementStore:
         capacities = [
             0 if e.cancelled else e.capacity for e in self._events
         ]
-        conflicts = ConflictGraph(
-            len(self._events),
-            [
-                (a, b)
-                for a, event in enumerate(self._events)
-                for b in event.conflicts
-                if a < b
-            ],
-        )
         return Instance(
             np.asarray(capacities, dtype=np.int64),
-            np.asarray([u.capacity for u in self._users], dtype=np.int64),
-            conflicts,
+            self.user_capacities(),
+            self.conflict_graph(),
             sims=self._sims_matrix(),
             validate=False,
         )

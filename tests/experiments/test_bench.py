@@ -151,44 +151,6 @@ def test_merge_replaces_same_named_tier(quick_report: BenchReport) -> None:
     )
     assert merged.tier_for("smoke") == smoke
 
-
-def test_v1_reports_are_lifted_to_one_tier(
-    quick_report: BenchReport, tmp_path: Path
-) -> None:
-    tier = _only_tier(quick_report)
-    solver = tier.results[0]
-    v1 = {
-        "format": "geacc-bench-v1",
-        "scale": "scaled",
-        "seed": tier.seed,
-        "n_events": solver.n_events,
-        "n_users": solver.n_users,
-        "repeats": 1,
-        "python": "3.11.0",
-        "solvers": {
-            solver.solver: {
-                "repeats": 1,
-                "seconds_min": solver.seconds_min,
-                "seconds_mean": solver.seconds_mean,
-                "nodes": solver.nodes,
-                "max_sum": solver.max_sum,
-                "n_pairs": solver.n_pairs,
-                "outcome": solver.outcome,
-            }
-        },
-    }
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(v1), encoding="utf-8")
-    lifted = load_report(path)
-    lifted_tier = lifted.tier_for("scaled")
-    assert lifted_tier is not None
-    lifted_solver = lifted_tier.result_for(solver.solver)
-    assert lifted_solver is not None
-    assert lifted_solver.n_events == solver.n_events
-    assert lifted_solver.n_users == solver.n_users
-    assert lifted_solver.seconds_min == solver.seconds_min
-
-
 def test_speedup_summary_reads_both_directions(quick_report: BenchReport) -> None:
     data = quick_report.to_json()
     solvers = data["tiers"]["smoke"]["solvers"]
