@@ -3,7 +3,7 @@
 Everything the serving layer persists must survive a kill -9 at any
 instruction: the journal fsyncs each record before the command is
 acknowledged, and snapshots reach disk only via
-:func:`repro.service.snapshot.atomic_write_bytes` (tmp file + fsync +
+:func:`repro.service.journal.atomic_write_bytes` (tmp file + fsync +
 rename + directory fsync). A bare ``open(path, "w")`` in a service
 module -- or a hand-rolled ``os.replace`` that skipped the tmp-file
 fsync -- silently reintroduces torn writes into the one layer whose
@@ -20,11 +20,12 @@ So inside ``src/repro/service/`` this rule flags:
   with no fsync anywhere.
 
 The modules that *implement* the durable machinery --
-``journal.py`` (the :class:`~repro.service.journal.FileSystem` seam and
-the write-ahead journal), ``snapshot.py`` (the atomic-write helper
-itself) and the sharding ``manifest.py`` (the coordinator's own
-write-ahead log, built on the same seam) -- are exempt: the primitives
-have to live somewhere. Calls
+``journal.py`` (the :class:`~repro.service.journal.FileSystem` seam,
+the fsync'd JSONL log core, the atomic-write helper and the
+write-ahead journal) and ``snapshot.py`` (snapshot files and the
+recovery ladder) -- are exempt: the primitives have to live
+somewhere. Every other durable file, the sharding manifest included,
+is written through the log core or the atomic-write helper. Calls
 with a non-literal or absent mode are not flagged (default mode is
 ``"r"``; a computed mode is a refactor smell but not provably a write),
 and a bare ``.replace(...)`` attribute call is ignored because it
@@ -45,7 +46,7 @@ from repro.analysis.registry import Rule, register_rule
 _SCOPE_DIR = "service"
 
 #: Modules that implement the durable primitives and may touch raw I/O.
-_EXEMPT_FILES = frozenset({"journal.py", "snapshot.py", "manifest.py"})
+_EXEMPT_FILES = frozenset({"journal.py", "snapshot.py"})
 
 #: Mode-string characters that make an ``open`` call a write.
 _WRITE_MODE_CHARS = frozenset("wax+")
@@ -68,7 +69,7 @@ class AtomicIoRule(Rule):
         "the serving layer's contract is crash-atomicity; a bare "
         "open(..., 'w') or os.replace outside journal.py/snapshot.py "
         "reintroduces torn writes -- persist through the journal or "
-        "repro.service.snapshot.atomic_write_bytes"
+        "repro.service.journal.atomic_write_bytes"
     )
 
     def check_module(self, module: ParsedModule) -> Iterator[Diagnostic]:
@@ -94,20 +95,20 @@ class AtomicIoRule(Rule):
                     module, node,
                     f"{dotted}(..., {mode!r}): raw file write in a service "
                     "module; persist through the journal or "
-                    "snapshot.atomic_write_bytes",
+                    "journal.atomic_write_bytes",
                 )
         elif dotted in _OS_RENAMES:
             yield _diag(
                 module, node,
                 f"{dotted}(): rename without the tmp-file + fsync + "
                 "directory-fsync discipline; use "
-                "snapshot.atomic_write_bytes (or the FileSystem seam)",
+                "journal.atomic_write_bytes (or the FileSystem seam)",
             )
         elif terminal in _PATH_WRITERS and "." in dotted:
             yield _diag(
                 module, node,
                 f"{dotted}(): convenience writer with no fsync; use "
-                "snapshot.atomic_write_bytes",
+                "journal.atomic_write_bytes",
             )
 
 

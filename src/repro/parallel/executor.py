@@ -178,19 +178,20 @@ def _crash_cell(task: _CellTask, exc: BaseException) -> CellResult:
 # ----------------------------------------------------------------------
 
 
-def _make_context(instance_factory: Callable[[object, int], Instance]):  # type: ignore[no-untyped-def]
+def _make_context(worker_callable: Callable[..., object]):  # type: ignore[no-untyped-def]
+    """A fork context, else spawn once ``worker_callable`` pickles."""
     import multiprocessing
 
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
-    # Spawn re-imports and unpickles the initializer arguments in each
-    # worker, so the factory must survive a pickle round-trip. Verify
-    # now: failing before any cell ran lets the caller go serial.
+    # Spawn re-imports and unpickles what workers run in each worker, so
+    # the callable must survive a pickle round-trip. Verify now: failing
+    # before any work ran lets the caller go serial.
     try:
-        pickle.dumps(instance_factory)
+        pickle.dumps(worker_callable)
     except Exception as exc:
         raise ParallelUnavailableError(
-            "no fork start method and the instance factory is not "
+            "no fork start method and the worker callable is not "
             f"picklable for spawn workers: {exc}"
         ) from exc
     return multiprocessing.get_context("spawn")
@@ -208,7 +209,6 @@ def run_cell_groups(
     max_attempts: int = 2,
     budget: Budget | None = None,
     on_cell: Callable[[CellResult], None] | None = None,
-    share_memory: bool = True,
 ) -> dict[str, CellResult]:
     """Run every cell of ``groups`` on a worker pool.
 
@@ -295,19 +295,18 @@ def run_cell_groups(
                 x, seed, solvers = groups[group_id]
                 handle = None
                 archive = None
-                if share_memory:
-                    try:
-                        instance = instance_factory(x, seed)
-                    except Exception:
-                        # Workers re-run the factory per cell and give the
-                        # failure its full classify/retry treatment there.
-                        instance = None
-                    if instance is not None:
-                        archive = SharedInstanceArchive.from_instance(
-                            instance, include_sims=want_shared_sims(instance)
-                        )
-                        if archive is not None:
-                            handle = archive.handle
+                try:
+                    instance = instance_factory(x, seed)
+                except Exception:
+                    # Workers re-run the factory per cell and give the
+                    # failure its full classify/retry treatment there.
+                    instance = None
+                if instance is not None:
+                    archive = SharedInstanceArchive.from_instance(
+                        instance, include_sims=want_shared_sims(instance)
+                    )
+                    if archive is not None:
+                        handle = archive.handle
                 archives[group_id] = [archive, len(solvers)]
                 for solver in solvers:
                     task = _CellTask(

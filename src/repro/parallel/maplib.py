@@ -21,32 +21,13 @@ rule checks out across cores.
 
 from __future__ import annotations
 
-import pickle
 from collections.abc import Callable, Iterable
 from typing import TypeVar
 
-from repro.parallel.executor import ParallelUnavailableError, default_jobs
+from repro.parallel.executor import _make_context, default_jobs
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
-
-
-def _make_context(func: Callable[..., object]):  # type: ignore[no-untyped-def]
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    # Spawn re-imports and unpickles the mapped callable in each worker;
-    # verify that round-trip now so callers can degrade to serial before
-    # any item has been processed.
-    try:
-        pickle.dumps(func)
-    except Exception as exc:
-        raise ParallelUnavailableError(
-            "no fork start method and the mapped callable is not "
-            f"picklable for spawn workers: {exc}"
-        ) from exc
-    return multiprocessing.get_context("spawn")
 
 
 def parallel_map(

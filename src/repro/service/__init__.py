@@ -35,6 +35,7 @@ from repro.service.journal import (
     FileSystem,
     Journal,
     RecoveryReport,
+    atomic_write_bytes,
     replay,
 )
 from repro.service.loadgen import (
@@ -54,7 +55,6 @@ from repro.service.snapshot import (
     DEFAULT_RETAIN,
     SNAPSHOT_FORMAT,
     CompactionStats,
-    atomic_write_bytes,
     compact,
     list_snapshots,
     load_snapshot,

@@ -15,13 +15,14 @@ in :mod:`repro.experiments.runner`, hardened for a serving path):
   1``, assigned by the journal, so replay can prove it saw every
   accepted command;
 * a torn *final* line (the crash window is exactly one partial
-  ``write``) is detected -- undecodable JSON or a missing trailing
-  newline -- truncated away, and its command counts as never accepted
-  (the client never got an acknowledgement for it);
-* anything else wrong -- foreign header, mid-file garbage, a sequence
-  gap -- raises :class:`~repro.exceptions.JournalError`: that journal
-  was not produced by this code crashing, and guessing would corrupt
-  state.
+  ``write``) is detected -- bytes after the last newline, or an
+  undecodable last line with nothing after it -- truncated away, and
+  its command counts as never accepted (the client never got an
+  acknowledgement for it);
+* anything else wrong -- foreign header, an undecodable line with
+  anything after it, a sequence gap -- raises
+  :class:`~repro.exceptions.JournalError`: that journal was not
+  produced by this code crashing, and guessing would corrupt state.
 
 :func:`replay` folds a journal back into a fresh
 :class:`~repro.service.store.ArrangementStore` (or onto a snapshot-
@@ -31,14 +32,21 @@ pure state machine over records (solver outputs are journaled as
 independent of the micro-batch boundaries, solver timing, and thread
 scheduling of the process that wrote the journal.
 
+This module also owns the fsync'd JSONL **log core** that both this
+journal and the shard manifest (:mod:`repro.service.sharding.manifest`)
+are built on -- :func:`create_log`, :func:`durable_write`,
+:func:`scan_lines` (the one torn-tail rule), :func:`reopen_log` and
+the :class:`AppendLog` base -- plus the tmp + fsync + rename primitive
+:func:`atomic_write_bytes`.
+
 Every byte this module (and :mod:`repro.service.snapshot`) moves to
 disk goes through a :class:`FileSystem` seam, so the fault-injection
 layer in :mod:`repro.robustness.faultfs` can substitute an in-memory
 filesystem and enumerate a crash at every write/flush/fsync/rename.
 These two modules are the only files under ``src/repro/service/``
 allowed to open files for writing (lint rule R14,
-``docs/static-analysis.md``); everything else must route through
-:func:`repro.service.snapshot.atomic_write_bytes`.
+``docs/static-analysis.md``); everything else must route through the
+log core or :func:`atomic_write_bytes`.
 """
 
 from __future__ import annotations
@@ -47,10 +55,10 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, TypeVar
 
 from repro.exceptions import JournalError
-from repro.service.store import ArrangementStore, StoreConfig
+from repro.service.store import ArrangementStore, StoreConfig, canonical_json
 
 #: First-line format marker of every service journal.
 JOURNAL_FORMAT = "geacc-service-v1"
@@ -104,6 +112,115 @@ class FileSystem:
 REAL_FS = FileSystem()
 
 
+# ----------------------------------------------------------------------
+# The log core: fsync'd JSONL primitives shared with the shard manifest
+# ----------------------------------------------------------------------
+
+
+def encode_line(obj: object) -> bytes:
+    """One log line: the canonical JSON of ``obj`` plus a newline."""
+    return canonical_json(obj) + b"\n"
+
+
+def durable_write(handle: IO[bytes], blob: bytes, fs: FileSystem) -> None:
+    """Write ``blob`` at the handle's position durably: write, flush, fsync."""
+    handle.write(blob)
+    handle.flush()
+    fs.fsync(handle)
+
+
+def create_log(
+    path: Path, header: bytes, fs: FileSystem, *, overwrite: bool = False
+) -> IO[bytes]:
+    """Durably create a log holding ``header``; returns the append handle.
+
+    The header is fsync'd and so is the parent directory, so the log
+    either exists durably with a complete header or (crash mid-create)
+    recovery sees nothing. Refuses an existing file unless
+    ``overwrite`` (recovery rewriting a log that holds no durable
+    header).
+    """
+    if not overwrite and fs.exists(path):
+        raise JournalError(f"{path}: already exists (recover it instead)")
+    handle = fs.open(path, "wb" if overwrite else "xb")
+    durable_write(handle, header, fs)
+    fs.fsync_dir(path.parent)
+    return handle
+
+
+def read_log(path: Path, fs: FileSystem) -> bytes:
+    """A log's bytes; a missing, unreadable or empty file raises."""
+    try:
+        blob = fs.read_bytes(path)
+    except OSError as exc:
+        raise JournalError(f"{path}: cannot read journal: {exc}") from exc
+    if not blob:
+        raise JournalError(f"{path}: empty journal (missing header)")
+    return blob
+
+
+def scan_lines(blob: bytes, path: Path) -> Iterator[tuple[dict, int]]:
+    """Yield ``(object, end_offset)`` for each durable line of a log.
+
+    Lazy: a caller that stops early (the header probe) decodes only the
+    lines it takes. ``end_offset`` is the byte offset just past the line -- the durable
+    prefix length if everything after it were torn away. The one
+    torn-tail rule: bytes after the last newline are a partial append
+    and end the scan; an undecodable (or non-object) complete line is
+    tolerated, and ends the scan, only when nothing follows it -- the
+    crash window of a partial write whose garbage happened to contain a
+    newline. Any other undecodable line raises :class:`JournalError`:
+    it was fsync'd before whatever follows it, so dropping it would
+    lose an acknowledged record.
+    """
+    offset = 0
+    lineno = 0
+    while (newline := blob.find(b"\n", offset)) >= 0:
+        end = newline + 1
+        lineno += 1
+        try:
+            decoded = json.loads(blob[offset:newline].decode("utf-8"))
+            if not isinstance(decoded, dict):
+                raise ValueError(f"record is not an object: {decoded!r}")
+        except (ValueError, UnicodeDecodeError) as exc:
+            if end == len(blob):
+                return
+            raise JournalError(f"{path}:{lineno}: corrupt record: {exc}") from exc
+        yield decoded, end
+        offset = end
+
+
+def reopen_log(
+    path: Path, fs: FileSystem, durable_bytes: int | None = None
+) -> IO[bytes]:
+    """Open a log for append, first truncating it to ``durable_bytes``."""
+    handle = fs.open(path, "r+b")
+    if durable_bytes is not None:
+        handle.truncate(durable_bytes)
+    handle.seek(0, os.SEEK_END)
+    return handle
+
+
+def atomic_write_bytes(
+    path: str | Path, blob: bytes, fs: FileSystem = REAL_FS
+) -> None:
+    """Write ``blob`` to ``path`` atomically and durably.
+
+    tmp file + write + flush + fsync + rename + directory fsync: after
+    this returns the bytes are durable under ``path``; a crash at any
+    point leaves either the old file or the new one, never a mix. This
+    is the one sanctioned whole-file write primitive for
+    ``repro.service`` code (lint rule R14).
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp_handle = fs.open(tmp, "wb")
+    durable_write(tmp_handle, blob, fs)
+    tmp_handle.close()
+    fs.replace(tmp, path)
+    fs.fsync_dir(path.parent)
+
+
 @dataclass(frozen=True)
 class JournalHeader:
     """Parsed first line of a journal: the config and the base seq."""
@@ -146,11 +263,7 @@ class RecoveryReport:
         }
 
 
-def _parse_header(line: str, path: Path) -> JournalHeader:
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise JournalError(f"{path}: unreadable journal header: {exc}") from exc
+def _parse_header(header: object, path: Path) -> JournalHeader:
     if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
         raise JournalError(
             f"{path}: not a {JOURNAL_FORMAT} journal "
@@ -166,7 +279,7 @@ def _parse_header(line: str, path: Path) -> JournalHeader:
 
 
 def _header_bytes(config: StoreConfig, base_seq: int) -> bytes:
-    return _encode(
+    return encode_line(
         {"format": JOURNAL_FORMAT, "config": config.to_json(), "base_seq": base_seq}
     )
 
@@ -175,23 +288,83 @@ def read_header(path: str | Path, fs: FileSystem = REAL_FS) -> JournalHeader | N
     """Parse a journal's durable header line, if one exists.
 
     Returns ``None`` when the file is missing, empty, or holds no
-    *complete* (newline-terminated) first line -- the crash window of
-    journal creation, where nothing of the journal is durable yet.
-    A complete-but-foreign/undecodable header raises
-    :class:`JournalError` (that file was not produced by this code).
+    durable first line under the torn-tail rule of :func:`scan_lines`
+    -- the crash window of journal creation, where nothing of the
+    journal is durable yet. A foreign header, or an undecodable one
+    with anything after it, raises :class:`JournalError` (that file was
+    not produced by this code).
     """
     path = Path(path)
     try:
         blob = fs.read_bytes(path)
     except OSError:
         return None
-    newline = blob.find(b"\n")
-    if newline < 0:
-        return None
-    return _parse_header(blob[:newline].decode("utf-8", errors="replace"), path)
+    first = next(scan_lines(blob, path), None)
+    return None if first is None else _parse_header(first[0], path)
 
 
-class Journal:
+_LogT = TypeVar("_LogT", bound="AppendLog")
+
+
+class AppendLog:
+    """An open fsync'd JSONL log: its path, append handle and live size.
+
+    The write side :class:`Journal` and
+    :class:`~repro.service.sharding.manifest.ShardManifest` share:
+    durable appends, whole-file atomic rewrites, and closing.
+    """
+
+    def __init__(
+        self, path: Path, handle: IO[bytes], *, size_bytes: int, fs: FileSystem
+    ) -> None:
+        self.path = path
+        self.size_bytes = size_bytes
+        self._fs = fs
+        self._handle: IO[bytes] | None = handle
+
+    @property
+    def fs(self) -> FileSystem:
+        """The filesystem seam this log writes through.
+
+        Everything that persists alongside the log (snapshots, the
+        shard manifest) must go through the same seam so fault-injection
+        tests see one coherent world.
+        """
+        return self._fs
+
+    def _append_record(self, record: dict) -> None:
+        """Durably append one record line (on disk when this returns)."""
+        if self._handle is None:
+            raise JournalError(f"{self.path}: log is closed")
+        blob = encode_line(record)
+        durable_write(self._handle, blob, self._fs)
+        self.size_bytes += len(blob)
+
+    def _rewrite(self, blob: bytes) -> None:
+        """Atomically replace the file with ``blob``; reopen for append.
+
+        The handle closes first, so a crash or I/O error mid-rewrite
+        leaves the log closed (every later append refuses) rather than
+        appending to a file that was just replaced.
+        """
+        self.close()
+        atomic_write_bytes(self.path, blob, self._fs)
+        self._handle = reopen_log(self.path, self._fs)
+        self.size_bytes = len(blob)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self: _LogT) -> _LogT:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class Journal(AppendLog):
     """An append-only, fsync'd JSONL write-ahead journal.
 
     Use :meth:`create` for a fresh journal or :meth:`recover` to open an
@@ -215,24 +388,11 @@ class Journal:
         fs: FileSystem = REAL_FS,
         last_recovery: RecoveryReport | None = None,
     ):
-        self.path = path
+        super().__init__(path, handle, size_bytes=size_bytes, fs=fs)
         self.config = config
         self.seq = seq
         self.base_seq = base_seq
-        self.size_bytes = size_bytes
         self.last_recovery = last_recovery
-        self._fs = fs
-        self._handle: IO[bytes] | None = handle
-
-    @property
-    def fs(self) -> FileSystem:
-        """The filesystem seam this journal writes through.
-
-        Everything that persists alongside the journal (snapshots, the
-        shard manifest) must go through the same seam so fault-injection
-        tests see one coherent world.
-        """
-        return self._fs
 
     # ------------------------------------------------------------------
     # Construction
@@ -254,14 +414,8 @@ class Journal:
         mid-create) recovery sees nothing and starts over.
         """
         path = Path(path)
-        if fs.exists(path):
-            raise JournalError(f"{path}: journal already exists (use recover)")
         blob = _header_bytes(config, base_seq)
-        handle = fs.open(path, "xb")
-        handle.write(blob)
-        handle.flush()
-        fs.fsync(handle)
-        fs.fsync_dir(path.parent)
+        handle = create_log(path, blob, fs)
         return cls(
             path,
             config,
@@ -283,13 +437,13 @@ class Journal:
     ) -> tuple["Journal", ArrangementStore]:
         """Reopen ``path``, reconstruct its state, and continue appending.
 
-        With ``snapshot_dir``, recovery walks the degradation ladder
+        Recovery walks the degradation ladder
         (:func:`repro.service.snapshot.recover_state`): newest loadable
         snapshot + journal tail -> older snapshot + tail -> full journal
         replay -> :class:`JournalError` only when nothing durable
-        survives. Without it, only full replay is possible (a compacted
-        journal then refuses to recover rather than silently dropping
-        its pre-snapshot history).
+        survives. ``snapshot_dir=None`` only means there is no snapshot
+        rung: a compacted journal then refuses to recover rather than
+        silently dropping its pre-snapshot history.
 
         ``config`` is the last rung's safety net: when neither journal
         header nor any snapshot is durable -- a crash during the very
@@ -306,50 +460,22 @@ class Journal:
             ``(journal, store)`` -- the journal positioned after the
             last durable record, and the store reconstructed from it.
         """
-        path = Path(path)
-        if snapshot_dir is not None:
-            from repro.service.snapshot import recover_state
+        from repro.service.snapshot import recover_state
 
-            store, durable_bytes, report = recover_state(
-                path, snapshot_dir, config=config, fs=fs
-            )
-        else:
-            header = read_header(path, fs)
-            if header is None:
-                if config is None:
-                    raise JournalError(
-                        f"{path}: no durable journal header and no snapshots to "
-                        "recover from"
-                    )
-                store = ArrangementStore(config)
-                durable_bytes = -1
-                report = RecoveryReport(rung="recreate")
-            elif header.base_seq:
-                raise JournalError(
-                    f"{path}: compacted journal (base seq {header.base_seq}) "
-                    "needs its snapshot directory to recover"
-                )
-            else:
-                store, durable_bytes = replay(path, fs=fs)
-                report = RecoveryReport(
-                    rung="full-replay", records_replayed=store.seq
-                )
+        path = Path(path)
+        store, durable_bytes, report = recover_state(
+            path, snapshot_dir, config=config, fs=fs
+        )
         if durable_bytes < 0:
             # No durable header survived: rewrite the journal outright so
             # the file on disk matches the recovered state (base = the
             # recovered seq; there is no tail to preserve).
             blob = _header_bytes(store.config, base_seq=store.seq)
-            handle = fs.open(path, "wb")
-            handle.write(blob)
-            handle.flush()
-            fs.fsync(handle)
-            fs.fsync_dir(path.parent)
+            handle = create_log(path, blob, fs, overwrite=True)
             base_seq = store.seq
             durable_bytes = len(blob)
         else:
-            handle = fs.open(path, "r+b")
-            handle.truncate(durable_bytes)
-            handle.seek(0, os.SEEK_END)
+            handle = reopen_log(path, fs, durable_bytes)
             base_seq = report.journal_base_seq
         journal = cls(
             path,
@@ -374,79 +500,42 @@ class Journal:
         is on disk (written, flushed, fsync'd) when this returns: the
         caller may only then mutate the store.
         """
-        if self._handle is None:
-            raise JournalError(f"{self.path}: journal is closed")
         record = {"seq": self.seq + 1, "cmd": cmd, **args}
-        blob = _encode(record)
-        self._handle.write(blob)
-        self._handle.flush()
-        self._fs.fsync(self._handle)
+        self._append_record(record)
         self.seq += 1
-        self.size_bytes += len(blob)
         return record
 
     def rewrite_tail(self, base_seq: int) -> None:
         """Atomically trim the journal to records after ``base_seq``.
 
         The compaction primitive: rewrites the file as a fresh header
-        (``base_seq`` recorded) plus every record with seq >
-        ``base_seq``, via tmp file + fsync + rename + directory fsync.
-        A crash anywhere in between leaves either the old journal or the
-        new one -- never a mix -- and both replay to the same state given
-        the snapshot at ``base_seq`` (which the caller,
+        (``base_seq`` recorded) plus the scanned bytes of every record
+        with seq > ``base_seq``, via :func:`atomic_write_bytes`. A crash
+        anywhere in between leaves either the old journal or the new one
+        -- never a mix -- and both replay to the same state given the
+        snapshot at ``base_seq`` (which the caller,
         :func:`repro.service.snapshot.compact`, wrote first).
         """
         if self._handle is None:
-            raise JournalError(f"{self.path}: journal is closed")
+            raise JournalError(f"{self.path}: log is closed")
         if base_seq < self.base_seq or base_seq > self.seq:
             raise JournalError(
                 f"{self.path}: cannot rebase journal to seq {base_seq} "
                 f"(live range is [{self.base_seq}, {self.seq}])"
             )
-        fs = self._fs
-        parts = [_header_bytes(self.config, base_seq)]
-        for item, _ in iter_records(self.path, fs=fs):
-            if isinstance(item, dict) and item["seq"] > base_seq:
-                parts.append(_encode(item))
-        blob = b"".join(parts)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp_handle = fs.open(tmp, "wb")
-        tmp_handle.write(blob)
-        tmp_handle.flush()
-        fs.fsync(tmp_handle)
-        tmp_handle.close()
-        self._handle.close()
-        self._handle = None
-        fs.replace(tmp, self.path)
-        fs.fsync_dir(self.path.parent)
-        handle = fs.open(self.path, "r+b")
-        handle.seek(0, os.SEEK_END)
-        self._handle = handle
+        old = read_log(self.path, self._fs)
+        start = end = 0
+        for item, end in _journal_lines(old, self.path):
+            if isinstance(item, JournalHeader) or item["seq"] <= base_seq:
+                start = end
+        self._rewrite(_header_bytes(self.config, base_seq) + old[start:end])
         self.base_seq = base_seq
-        self.size_bytes = len(blob)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         state = "closed" if self._handle is None else "open"
         return (
             f"Journal({self.path}, seq={self.seq}, base={self.base_seq}, {state})"
         )
-
-
-def _encode(record: dict) -> bytes:
-    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "utf-8"
-    )
 
 
 def iter_records(
@@ -458,56 +547,30 @@ def iter_records(
     yield is a decoded record dict. ``end_offset`` is the byte offset
     just past that line -- the durable prefix length if everything after
     it were torn away. Record seqs are checked contiguous from
-    ``header.base_seq + 1``.
-
-    A torn final line (no trailing newline, or undecodable JSON on the
-    last line) terminates the iteration silently; torn or undecodable
-    content *before* the final line raises :class:`JournalError`.
+    ``header.base_seq + 1``. Torn tails follow :func:`scan_lines`.
     """
     path = Path(path)
-    try:
-        blob = fs.read_bytes(path)
-    except OSError as exc:
-        raise JournalError(f"{path}: cannot read journal: {exc}") from exc
-    if not blob:
-        raise JournalError(f"{path}: empty journal (missing header)")
-    lines = blob.split(b"\n")
-    # A well-formed file ends with a newline, so the final split element
-    # is empty; anything else is the torn tail of a crashed append.
-    torn_tail = lines.pop() != b""
-    offset = 0
+    return _journal_lines(read_log(path, fs), path)
+
+
+def _journal_lines(
+    blob: bytes, path: Path
+) -> Iterator[tuple[JournalHeader | dict, int]]:
     expected_seq = 1
-    for index, raw in enumerate(lines):
-        line_end = offset + len(raw) + 1
-        is_last = index == len(lines) - 1
-        try:
-            decoded = json.loads(raw.decode("utf-8"))
-            if not isinstance(decoded, dict):
-                raise ValueError(f"record is not an object: {decoded!r}")
-        except (ValueError, UnicodeDecodeError) as exc:
-            if is_last:
-                # Crash window: the final complete-looking line can still
-                # be a partial write whose tail happened to contain '\n'.
-                return
-            raise JournalError(f"{path}:{index + 1}: corrupt record: {exc}") from exc
+    for index, (decoded, line_end) in enumerate(scan_lines(blob, path)):
         if index == 0:
-            header = _parse_header(raw.decode("utf-8"), path)
+            header = _parse_header(decoded, path)
             expected_seq = header.base_seq + 1
             yield header, line_end
-        else:
-            seq = decoded.get("seq")
-            if seq != expected_seq:
-                raise JournalError(
-                    f"{path}:{index + 1}: sequence gap (expected {expected_seq}, "
-                    f"got {seq!r})"
-                )
-            expected_seq += 1
-            yield decoded, line_end
-        offset = line_end
-    if torn_tail:
-        # The bytes after the last newline are a partial append; callers
-        # recovering the journal truncate to the last yielded offset.
-        return
+            continue
+        seq = decoded.get("seq")
+        if seq != expected_seq:
+            raise JournalError(
+                f"{path}:{index + 1}: sequence gap (expected {expected_seq}, "
+                f"got {seq!r})"
+            )
+        expected_seq += 1
+        yield decoded, line_end
 
 
 def replay(

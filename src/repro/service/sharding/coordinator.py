@@ -27,9 +27,10 @@ shard-side effect; recovery reconciles and drops it.
 The rare cross-shard mutation is a **component merge**: a new event
 whose conflict set spans components on different shards. The
 coordinator rebalances first -- drain the involved shards, write one
-manifest ``rebalance`` entry carrying the full redo payload, migrate
-(import on the target, tombstone on the sources), resume -- and only
-then admits the merging event, now against a single shard.
+manifest ``rebalance`` entry carrying the full redo payload, then run
+the same idempotent redo that recovery runs (import on the target,
+tombstone on the sources) -- and only then admits the merging event,
+now against a single shard.
 
 Each shard recovers through its own snapshot+tail ladder
 (:meth:`~repro.service.sharding.manager.ShardManager.recover`), so a
@@ -40,7 +41,6 @@ to rebuild routing and finish any half-applied rebalance.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from contextlib import ExitStack
 from pathlib import Path
@@ -59,7 +59,7 @@ from repro.service.sharding.manager import ShardManager
 from repro.service.sharding.manifest import ShardManifest
 from repro.service.sharding.partitioner import ConflictPartitioner
 from repro.service.snapshot import DEFAULT_RETAIN, CompactionStats
-from repro.service.store import Delta, StoreConfig
+from repro.service.store import Delta, StoreConfig, canonical_json
 
 #: The manifest's file name under the shard root directory.
 MANIFEST_NAME = "manifest.jsonl"
@@ -238,8 +238,6 @@ class ShardCoordinator:
             if kind == "rebalance":
                 self._redo_rebalance(entry, expected_events, expected_users)
                 kept.append(entry)
-                self.rebalances += 1
-                self.last_rebalance = self._rebalance_summary(entry)
                 continue
             gid = int(entry["gid"])
             shard = int(entry["shard"])
@@ -319,12 +317,23 @@ class ShardCoordinator:
         expected_events: list[int],
         expected_users: list[int],
     ) -> None:
-        """Idempotently finish the migration a rebalance entry records.
+        """Idempotently run the migration a rebalance entry records.
 
-        Every step checks whether its effect already exists (the shard
-        journals survived the crash) before re-issuing the command, so
-        a migration interrupted at *any* point -- after the manifest
+        The one migration path: a live rebalance runs it right after the
+        manifest append, and recovery runs it again for every rebalance
+        entry. Every step checks whether its effect already exists (the
+        shard journals survived the crash) before issuing the command,
+        so a migration interrupted at *any* point -- after the manifest
         append, mid-import, mid-retire -- converges to the same state.
+        Order is fixed: events are posted open (conflicts bind to
+        already-posted movers only, symmetry fills the rest), users
+        registered, seats committed as one ``commit_batch`` delta, and
+        only then lifecycle flags replayed -- a cancelled event never
+        held seats, a frozen one gets its seats before freezing. Events
+        then retire on the source before the mover users, so those are
+        seatless when they retire. A shard is marked dirty exactly where
+        a command is issued: the target on each post, freeze and cancel,
+        a source after its retires.
         """
         target_id = int(entry["target"])
         target = self.managers[target_id]
@@ -394,17 +403,20 @@ class ShardCoordinator:
                         delta, users=[target.local_user(u) for _, u in pairs]
                     )
             for spec in move["events"]:
-                local = target.local_event(int(spec["gid"]))
+                gid = int(spec["gid"])
+                local = target.local_event(gid)
                 if spec["frozen"] and not target.store.is_frozen(local):
-                    target.service.freeze_event(local)
+                    target.freeze_event(gid)
                 elif spec["cancelled"] and not target.store.is_cancelled(local):
-                    target.service.cancel_event(local)
+                    target.cancel_event(gid)
+            retired = False
             for spec in move["events"]:
                 gid = int(spec["gid"])
                 if source.owns_event(gid):
                     local = source.local_event(gid)
                     if not source.store.is_cancelled(local):
                         source.service.retire_event(local)
+                        retired = True
                     source.unbind_event(gid)
             for spec in move["users"]:
                 gid = int(spec["gid"])
@@ -412,7 +424,12 @@ class ShardCoordinator:
                     local = source.local_user(gid)
                     if source.store.user_capacity(local) != 0:
                         source.service.retire_user(local)
+                        retired = True
                     source.unbind_user(gid)
+            if retired:
+                source.service.engine.mark_dirty()
+        self.rebalances += 1
+        self.last_rebalance = self._rebalance_summary(entry)
 
     @staticmethod
     def _rebalance_summary(entry: dict) -> dict:
@@ -570,9 +587,8 @@ class ShardCoordinator:
         already holding the most moving events as the target, drain the
         involved shards, take their state locks, write one manifest
         ``rebalance`` entry carrying the complete redo payload, then
-        migrate -- import on the target, tombstone on each source. A
-        crash anywhere in the tail is finished by
-        :meth:`_redo_rebalance` on recovery.
+        migrate through :meth:`_redo_rebalance` -- the routine recovery
+        runs to finish a crash anywhere in the tail.
         """
         managers = self.managers
         members = self.partitioner.components()
@@ -586,7 +602,6 @@ class ShardCoordinator:
         with ExitStack() as stack:
             for shard in sorted(involved):
                 stack.enter_context(managers[shard].service._lock)
-            target_manager = managers[target]
             moves = []
             for comp in sorted(components):
                 source_id = self._event_shard[comp]
@@ -603,30 +618,18 @@ class ShardCoordinator:
                         "assignments": assignments,
                     }
                 )
+            expected_events = [len(m.events_g) for m in managers]
+            expected_users = [len(m.users_g) for m in managers]
             entry = self.manifest.append(
                 "rebalance",
                 {
                     "target": target,
-                    "target_events_before": len(target_manager.events_g),
-                    "target_users_before": len(target_manager.users_g),
+                    "target_events_before": expected_events[target],
+                    "target_users_before": expected_users[target],
                     "moves": moves,
                 },
             )
-            for move in moves:
-                source = managers[move["shard"]]
-                target_manager.import_component(
-                    move["events"], move["users"], move["assignments"]
-                )
-                for spec in move["events"]:
-                    self._event_shard[spec["gid"]] = target
-                for spec in move["users"]:
-                    self._user_shard[spec["gid"]] = target
-                source.retire_component(
-                    [spec["gid"] for spec in move["events"]],
-                    [spec["gid"] for spec in move["users"]],
-                )
-        self.rebalances += 1
-        self.last_rebalance = self._rebalance_summary(entry)
+            self._redo_rebalance(entry, expected_events, expected_users)
         return target
 
     # ------------------------------------------------------------------
@@ -751,10 +754,7 @@ class ShardCoordinator:
 
     def arrangement_digest(self) -> str:
         """SHA-256 over :meth:`arrangement_state` (matches the store's)."""
-        payload = json.dumps(
-            self.arrangement_state(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical_json(self.arrangement_state())).hexdigest()
 
     def check_invariants(self) -> None:
         """Per-shard invariants plus the cross-shard routing contract."""

@@ -32,7 +32,6 @@ from repro.service.store import (
     CMD_POST_EVENT,
     CMD_REGISTER_USER,
     ArrangementStore,
-    Delta,
     StoreConfig,
 )
 
@@ -139,12 +138,6 @@ class ShardManager:
             raise ServiceError(
                 f"user {gid} does not live on shard {self.shard_id}"
             ) from None
-
-    def global_event(self, local: int) -> int:
-        return self.events_g[local]
-
-    def global_user(self, local: int) -> int:
-        return self.users_g[local]
 
     def bind_event(self, gid: int, local: int) -> None:
         """Record that global event ``gid`` occupies local slot ``local``.
@@ -282,7 +275,7 @@ class ShardManager:
             return self.store.best_similarity(attributes)
 
     # ------------------------------------------------------------------
-    # Migration (the rebalance protocol's two sides)
+    # Migration (the payload; the coordinator's redo applies it)
     # ------------------------------------------------------------------
 
     def export_component(
@@ -337,72 +330,6 @@ class ShardManager:
             if self.events_g[e] in moving and self.users_g[u] in mover_users
         ]
         return events, users, sorted(assignments)
-
-    def import_component(
-        self,
-        events: list[dict],
-        users: list[dict],
-        assignments: list[list[int]],
-    ) -> None:
-        """Target side of a migration: recreate state from the payload.
-
-        Order matters and is re-runnable by recovery: events are posted
-        open (conflicts bind to already-posted movers only, symmetry
-        fills the rest), users registered, seats committed as one
-        ``commit_batch`` delta, and only then are lifecycle flags
-        (freeze/cancel) replayed -- a cancelled event never held seats,
-        a frozen one gets its seats before freezing.
-        """
-        posted: set[int] = set()
-        for entry in events:
-            gid = int(entry["gid"])
-            self.post_event(
-                gid,
-                int(entry["capacity"]),
-                [float(x) for x in entry["attributes"]],
-                [g for g in entry["conflicts"] if g in posted],
-            )
-            posted.add(gid)
-        for entry in users:
-            self.register_user(
-                int(entry["gid"]),
-                int(entry["capacity"]),
-                [float(x) for x in entry["attributes"]],
-            )
-        delta = Delta(
-            assigns=tuple(
-                sorted(
-                    (self.local_event(e), self.local_user(u))
-                    for e, u in assignments
-                )
-            )
-        )
-        self.service.commit_delta(
-            delta, users=[self.local_user(u) for _, u in assignments]
-        )
-        for entry in events:
-            if entry["frozen"]:
-                self.freeze_event(int(entry["gid"]))
-            elif entry["cancelled"]:
-                self.cancel_event(int(entry["gid"]))
-
-    def retire_component(self, event_gids: list[int], user_gids: list[int]) -> None:
-        """Source side of a migration: tombstone everything that moved.
-
-        Events retire first (releasing every seat, including frozen
-        ones) so the mover users are seatless by the time they retire.
-        A mover that was already cancelled needs no retire command --
-        it holds no seats and the store refuses to retire it twice.
-        """
-        for gid in sorted(event_gids):
-            local = self.local_event(gid)
-            if not self.store.is_cancelled(local):
-                self.service.retire_event(local)
-            self.unbind_event(gid)
-        for gid in sorted(user_gids):
-            self.service.retire_user(self.local_user(gid))
-            self.unbind_user(gid)
-        self.service.engine.mark_dirty()
 
     # ------------------------------------------------------------------
     # Health / lifecycle

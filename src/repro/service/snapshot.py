@@ -14,8 +14,10 @@ Snapshot file format (``snapshot-<seq:012d>.json``, two lines):
   canonical SHA-256 at seq S>}``;
 * line 2 -- payload: the canonical-state dict as compact JSON.
 
-Writes are atomic the classic way: tmp file in the same directory,
-write, flush, fsync, rename over the final name, fsync the directory.
+Writes are atomic the classic way
+(:func:`repro.service.journal.atomic_write_bytes`): tmp file in the same
+directory, write, flush, fsync, rename over the final name, fsync the
+directory.
 A reader therefore sees either the complete old world or the complete
 new world; the CRC and digest catch everything else (torn payload from
 a dying disk, bit flips, a truncated copy).
@@ -43,6 +45,7 @@ write/flush/fsync/rename of the snapshot and compaction paths.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -56,10 +59,11 @@ from repro.service.journal import (
     REAL_FS,
     FileSystem,
     RecoveryReport,
+    atomic_write_bytes,
     read_header,
     replay,
 )
-from repro.service.store import ArrangementStore, StoreConfig
+from repro.service.store import ArrangementStore, StoreConfig, canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (journal imports us lazily)
     from repro.service.journal import Journal
@@ -80,28 +84,6 @@ def snapshot_path(directory: str | Path, seq: int) -> Path:
     return Path(directory) / f"snapshot-{seq:012d}.json"
 
 
-def atomic_write_bytes(
-    path: str | Path, blob: bytes, fs: FileSystem = REAL_FS
-) -> None:
-    """Write ``blob`` to ``path`` atomically and durably.
-
-    tmp file + write + flush + fsync + rename + directory fsync: after
-    this returns the bytes are durable under ``path``; a crash at any
-    point leaves either the old file or the new one, never a mix. This
-    is the one sanctioned write primitive for ``repro.service`` code
-    outside the journal/snapshot modules (lint rule R14).
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp_handle = fs.open(tmp, "wb")
-    tmp_handle.write(blob)
-    tmp_handle.flush()
-    fs.fsync(tmp_handle)
-    tmp_handle.close()
-    fs.replace(tmp, path)
-    fs.fsync_dir(path.parent)
-
-
 def write_snapshot(
     store: ArrangementStore, directory: str | Path, fs: FileSystem = REAL_FS
 ) -> Path:
@@ -113,18 +95,15 @@ def write_snapshot(
     """
     directory = Path(directory)
     fs.mkdir(directory)
-    payload = json.dumps(
-        store.canonical_state(), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    payload = canonical_json(store.canonical_state())
     header = {
         "format": SNAPSHOT_FORMAT,
         "seq": store.seq,
         "crc32": zlib.crc32(payload),
-        "digest": store.digest(),
+        # The store's digest is by definition the SHA-256 of this payload.
+        "digest": hashlib.sha256(payload).hexdigest(),
     }
-    header_line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
+    header_line = canonical_json(header)
     path = snapshot_path(directory, store.seq)
     atomic_write_bytes(path, header_line + b"\n" + payload + b"\n", fs)
     return path
@@ -292,7 +271,7 @@ def compact(
 
 def recover_state(
     journal_path: str | Path,
-    snapshot_dir: str | Path,
+    snapshot_dir: str | Path | None,
     *,
     config: StoreConfig | None = None,
     fs: FileSystem = REAL_FS,
@@ -303,7 +282,8 @@ def recover_state(
     tail; full journal replay (only possible when the journal was never
     compacted, ``base_seq == 0``); a fresh empty store under ``config``
     when nothing durable exists at all. Only when every rung is
-    exhausted does it raise :class:`JournalError`.
+    exhausted does it raise :class:`JournalError`. ``snapshot_dir=None``
+    removes the snapshot rungs and nothing else.
 
     A snapshot that fails verification (:class:`SnapshotError`) or
     cannot bridge to the journal tail is *rejected* -- recorded in the
@@ -319,7 +299,8 @@ def recover_state(
     journal_path = Path(journal_path)
     header = read_header(journal_path, fs)
     rejected: list[str] = []
-    for snap_seq, snap_file in list_snapshots(snapshot_dir, fs):
+    snapshots = [] if snapshot_dir is None else list_snapshots(snapshot_dir, fs)
+    for snap_seq, snap_file in snapshots:
         try:
             snap = load_snapshot(snap_file, fs)
         except SnapshotError as exc:
@@ -356,12 +337,14 @@ def recover_state(
                 snapshots_rejected=tuple(rejected),
             ),
         )
+    detail = "; ".join(rejected) or (
+        "no snapshot directory given" if snapshot_dir is None else "no snapshots found"
+    )
     if header is None:
         if config is None:
-            detail = "; ".join(rejected) if rejected else "no snapshots found"
             raise JournalError(
-                f"{journal_path}: nothing durable survives (no journal header, "
-                f"no usable snapshot: {detail})"
+                f"{journal_path}: nothing durable survives (no durable journal "
+                f"header, no usable snapshot: {detail})"
             )
         return (
             ArrangementStore(config),
@@ -369,7 +352,6 @@ def recover_state(
             RecoveryReport(rung="recreate", snapshots_rejected=tuple(rejected)),
         )
     if header.base_seq:
-        detail = "; ".join(rejected) if rejected else "no snapshots found"
         raise JournalError(
             f"{journal_path}: nothing durable survives (journal tail starts at "
             f"seq {header.base_seq + 1}, no usable snapshot: {detail})"

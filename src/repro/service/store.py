@@ -63,6 +63,16 @@ ALL_COMMANDS = frozenset(
 )
 
 
+def canonical_json(obj: object) -> bytes:
+    """The one durable encoding: sorted keys, compact separators, ASCII.
+
+    Journal and manifest lines, snapshot files and every state digest
+    are built from these bytes, so two equal states always hash and
+    persist identically.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 @dataclass(frozen=True)
 class StoreConfig:
     """Immutable service-wide model parameters (journal header payload).
@@ -820,10 +830,7 @@ class ArrangementStore:
 
     def digest(self) -> str:
         """SHA-256 over the canonical state (stable across processes)."""
-        payload = json.dumps(
-            self.canonical_state(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical_json(self.canonical_state())).hexdigest()
 
     def arrangement_state(self) -> dict:
         """Canonical state minus the journal counters.
@@ -845,10 +852,7 @@ class ArrangementStore:
 
     def arrangement_digest(self) -> str:
         """SHA-256 over :meth:`arrangement_state`."""
-        payload = json.dumps(
-            self.arrangement_state(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical_json(self.arrangement_state())).hexdigest()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArrangementStore):

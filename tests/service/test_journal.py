@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import JournalError
 from repro.service.journal import JOURNAL_FORMAT, Journal, iter_records, replay
+from repro.service.sharding.manifest import ShardManifest
 from repro.service.store import ArrangementStore, StoreConfig
 
 CONFIG = StoreConfig(dimension=2, t=10.0)
@@ -196,3 +197,50 @@ def test_iter_records_reports_durable_offsets(tmp_path: Path) -> None:
     assert offsets == sorted(offsets)
     # Each offset lands exactly one byte past a newline.
     assert all(blob[offset - 1:offset] == b"\n" for offset in offsets)
+
+
+def test_corrupt_last_record_before_torn_tail_is_corruption(tmp_path: Path) -> None:
+    # Only a final line with nothing after it can be a partial write. A
+    # corrupt complete record followed by torn bytes was fsync'd before
+    # the torn append began, so dropping it would lose an acknowledged
+    # command: both readers must refuse and leave the file alone.
+    path = tmp_path / "j.jsonl"
+    write_sample(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[-2] = b"!!not json!!"
+    blob = b"\n".join(lines) + b'{"seq": 6, "torn": '
+    path.write_bytes(blob)
+    with pytest.raises(JournalError, match="corrupt record"):
+        replay(path)
+    with pytest.raises(JournalError, match="corrupt record"):
+        Journal.recover(path)
+    assert path.read_bytes() == blob
+
+
+def test_manifest_corrupt_last_entry_before_torn_tail_is_corruption(
+    tmp_path: Path,
+) -> None:
+    path = tmp_path / "manifest.jsonl"
+    with ShardManifest.create(path, CONFIG, 2) as manifest:
+        for gid in range(3):
+            manifest.append("event", {"gid": gid, "shard": gid % 2})
+    lines = path.read_bytes().split(b"\n")
+    lines[-2] = b"!!not json!!"
+    blob = b"\n".join(lines) + b'{"n": 4, "kind": "eve'
+    path.write_bytes(blob)
+    with pytest.raises(JournalError):
+        ShardManifest.load(path)
+    assert path.read_bytes() == blob
+
+
+def test_undecodable_sole_header_line_is_a_torn_create(tmp_path: Path) -> None:
+    # The header falls under the same torn-tail rule as every record: a
+    # complete but undecodable line with nothing after it is the partial
+    # write of the journal's creation, so nothing is durable yet.
+    path = tmp_path / "j.jsonl"
+    path.write_bytes(b'{"format": "geacc-se\n')
+    journal, store = Journal.recover(path, config=CONFIG)
+    journal.close()
+    assert store.seq == 0
+    assert journal.last_recovery is not None
+    assert journal.last_recovery.rung == "recreate"
