@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-robustness lint typecheck check bench bench-check bench-figures bench-figures-smoke bench-figures-paper examples report clean
+.PHONY: install test test-robustness lint typecheck check bench bench-check bench-check-xl bench-figures bench-figures-smoke bench-figures-paper examples report clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop

@@ -58,6 +58,7 @@ from repro.experiments.config import SCALES
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.metrics import measure
 from repro.robustness import Outcome, run_with_budget
+from repro.service.engine import DEFAULT_LADDER
 
 #: Exit code when a budgeted solve only reached its anytime best-so-far
 #: (mirrors GNU ``timeout``).
@@ -773,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--ladder",
         nargs="+",
-        default=["greedy", "random-u"],
+        default=list(DEFAULT_LADDER),
         choices=sorted(SOLVERS),
         help="batch-solve degradation ladder, best first",
     )
@@ -848,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--ladder",
         nargs="+",
-        default=["greedy", "random-u"],
+        default=list(DEFAULT_LADDER),
         choices=sorted(SOLVERS),
         help="batch-solve degradation ladder, best first",
     )

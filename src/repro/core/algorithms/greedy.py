@@ -21,7 +21,6 @@ keeps the node's frontier pointing at them until they are popped
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.core.algorithms.base import Solver, register_solver
@@ -37,43 +36,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _Cursor:
     """Frontier over one node's descending-similarity neighbour stream.
 
-    Candidates are pulled from the stream in geometrically growing
-    chunks (1, 4, 16, then 64 at a time) instead of one ``next()`` per
-    peek: a node whose neighbourhood is dense with visited/infeasible
-    pairs skips through them on a plain list walk instead of resuming a
-    generator per pair. The first pull is deliberately a single item --
-    :meth:`IndexNeighborOrders.user_stream` serves its first neighbour
-    from one argmax and only pays the argsort when a second is demanded,
-    and Algorithm 2's initialisation peeks *every* user's cursor once.
+    Each :meth:`peek` with no held candidate reads exactly one item from
+    the stream. The streams compute their order lazily in top-k chunks
+    (:func:`repro.core.similarity.descending_stream`), and Algorithm 2's
+    initialisation peeks every cursor once, so reading ahead here would
+    only add work for nodes that saturate early.
     """
 
-    __slots__ = ("_stream", "_buffer", "_pos", "_chunk", "current", "done")
-
-    #: Largest single pull; bounds per-cursor buffer memory.
-    CHUNK_CAP = 64
+    __slots__ = ("_stream", "current", "done")
 
     def __init__(self, stream: Iterator[tuple[int, float]]) -> None:
         self._stream = stream
-        self._buffer: list[tuple[int, float]] = []
-        self._pos = 0
-        self._chunk = 1
         self.current: tuple[int, float] | None = None
         self.done = False
 
     def peek(self) -> tuple[int, float] | None:
-        """Current candidate, pulling a chunk from the stream when empty."""
+        """Current candidate, reading the next one from the stream if none."""
         if self.done:
             return None
         if self.current is None:
-            if self._pos >= len(self._buffer):
-                self._buffer = list(islice(self._stream, self._chunk))
-                self._pos = 0
-                self._chunk = min(self._chunk * 4, self.CHUNK_CAP)
-                if not self._buffer:
-                    self.finish()  # releases the exhausted stream's state
-                    return None
-            self.current = self._buffer[self._pos]
-            self._pos += 1
+            self.current = next(self._stream, None)
+            if self.current is None:
+                self.finish()  # releases the exhausted stream's state
         return self.current
 
     def skip(self) -> None:
@@ -85,8 +69,6 @@ class _Cursor:
         self.current = None
         self.done = True
         self._stream = iter(())
-        self._buffer = []
-        self._pos = 0
 
 
 @register_solver("greedy")
@@ -96,7 +78,7 @@ class GreedyGEACC(Solver):
     Args:
         index_kind: Force index-backed neighbour streams of this
             :mod:`repro.index` kind; None auto-selects (similarity-matrix
-            argsort for ordinary sizes, chunked index streams for
+            top-k streams for ordinary sizes, chunked index streams for
             scalability-scale attribute instances).
     """
 

@@ -8,9 +8,9 @@ names iDistance / VA-file as candidate indexes.
 Two providers implement the oracle:
 
 * :class:`MatrixNeighborOrders` -- chunked vectorised top-k over
-  rows/columns of the materialised similarity matrix (geometrically
-  growing blocks, computed on demand). Exact and fastest at benchmark
-  scales.
+  rows/columns of the materialised similarity matrix
+  (:func:`repro.core.similarity.descending_stream`). Exact and fastest
+  at benchmark scales.
 * :class:`IndexNeighborOrders` -- wraps a :mod:`repro.index` structure
   over the raw attribute vectors and converts ascending-distance streams
   to descending-similarity streams via the monotone Eq. (1) map. Never
@@ -30,7 +30,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.core.model import Instance
-from repro.core.similarity import top_k_descending
+from repro.core.similarity import descending_stream
 from repro.index import make_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,47 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 # Above this many cells, prefer index streams over materialising the matrix.
 _MATRIX_CELL_LIMIT = 20_000_000
-
-#: Chunk growth for :func:`_chunked_descending`: first pull is a single
-#: argpartition (Algorithm 2's initialisation peeks every cursor once),
-#: later pulls grow geometrically so a deeply-consumed stream converges
-#: to one stable argsort's worth of work.
-_FIRST_CHUNK = 1
-_CHUNK_GROWTH = 8
-_CHUNK_FLOOR = 64
-
-
-def _chunked_descending(
-    values: np.ndarray, budget: "Budget | None" = None
-) -> Iterator[tuple[int, float]]:
-    """Yield ``(index, value)`` by non-increasing value, index tie-break.
-
-    The order is exactly ``np.argsort(-values, kind="stable")`` --
-    :func:`top_k_descending` guarantees every prefix matches it, ties
-    included -- but it is computed in geometrically growing chunks, so a
-    consumer that stops after a few items pays O(n) argpartitions instead
-    of a full O(n log n) sort, and each chunk is one vectorised top-k over
-    the whole row rather than per-element Python work.
-
-    Args:
-        budget: Optional solver budget; probed (at zero node weight) once
-            per chunk so anytime semantics reach into candidate
-            generation on wide rows.
-    """
-    n = int(values.shape[0])
-    served = 0
-    k = _FIRST_CHUNK
-    while served < n:
-        if budget is not None and served:
-            budget.checkpoint(weight=0)
-        k = min(n, k)
-        order = top_k_descending(values, k)
-        chunk = order[served:]
-        # One C-level conversion per chunk; yielding stays scalar only at
-        # the generator boundary, never in the scoring.
-        yield from zip(chunk.tolist(), values[chunk].tolist())
-        served = k
-        k = max(_CHUNK_FLOOR, served * _CHUNK_GROWTH)
 
 
 class NeighborOrders(ABC):
@@ -96,7 +55,7 @@ class NeighborOrders(ABC):
 class MatrixNeighborOrders(NeighborOrders):
     """Chunked top-k provider over the instance's similarity matrix.
 
-    Streams are produced by :func:`_chunked_descending`: identical order
+    Streams are produced by :func:`descending_stream`: identical order
     to a stable argsort of the row/column (value desc, index asc under
     ties) but computed as vectorised top-k blocks, so Greedy-GEACC's
     candidate generation scores whole user chunks per event instead of
@@ -112,10 +71,10 @@ class MatrixNeighborOrders(NeighborOrders):
         self._budget = budget
 
     def event_stream(self, event: int) -> Iterator[tuple[int, float]]:
-        return _chunked_descending(self._sims[event], self._budget)
+        return descending_stream(self._sims[event], self._budget)
 
     def user_stream(self, user: int) -> Iterator[tuple[int, float]]:
-        return _chunked_descending(self._sims[:, user], self._budget)
+        return descending_stream(self._sims[:, user], self._budget)
 
 
 class IndexNeighborOrders(NeighborOrders):
@@ -125,10 +84,9 @@ class IndexNeighborOrders(NeighborOrders):
     magnitude larger than the event side, so the two stream directions
     get different machinery: event streams (over the big user set) come
     from a lazy :mod:`repro.index` structure, while user streams (over
-    the small event set) simply materialise one similarity column with a
-    vectorised pass plus argsort -- O(|V|) memory per live stream and far
-    less per-item overhead than a generator chain. Both remain
-    matrix-free.
+    the small event set) materialise one similarity column, on first
+    pull, and feed it to :func:`descending_stream` -- O(|V|) memory per
+    live stream. Both remain matrix-free.
 
     Args:
         instance: Must be attribute-backed with the Euclidean metric --
@@ -159,24 +117,7 @@ class IndexNeighborOrders(NeighborOrders):
             yield user, self._to_sim(dist)
 
     def user_stream(self, user: int) -> Iterator[tuple[int, float]]:
-        # Algorithm 2's initialisation touches *every* user's stream for
-        # its first NN, so the first item must be cheap: one vectorised
-        # column + argmax. Deeper consumption hands off to the chunked
-        # top-k stream (argmax and its first chunk break ties
-        # identically: lowest index first).
-        instance = self._instance
-
-        def generate() -> Iterator[tuple[int, float]]:
-            sims = instance.sim_col(user)
-            if sims.shape[0] == 0:
-                return
-            best = int(np.argmax(sims))
-            yield best, float(sims[best])
-            rest = _chunked_descending(sims)
-            next(rest)  # the argmax item, already served
-            yield from rest
-
-        return generate()
+        yield from descending_stream(self._instance.sim_col(user))
 
 
 def neighbor_orders_for(

@@ -15,14 +15,20 @@ user attributes ``(|U|, d)`` they return the full ``(|V|, |U|)`` matrix.
 bit-identically (the tile kernel every array-backed solver substrate pulls
 cache-friendly blocks through), and :class:`SimilarityRowCache` memoises
 per-event rows over an append-only user set for the service path.
+:func:`descending_stream` is the one lazy producer of descending-order
+candidate streams (Greedy's neighbour orders and the chunked index).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.robustness.budget import Budget
 
 SimilarityFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -247,12 +253,16 @@ def top_k_descending(values: np.ndarray, k: int) -> np.ndarray:
     full sort. Ties *at the selection boundary* are repaired explicitly:
     a plain argpartition may keep an arbitrary subset of boundary-tied
     entries, which would break digest-identity with the scalar path.
+    ``k == 1`` is a single ``argmax``, which also picks the lowest index
+    among ties.
     """
     n = values.shape[0]
     if k >= n:
         return np.argsort(-values, kind="stable")
     if k <= 0:
         return np.empty(0, dtype=np.intp)
+    if k == 1:
+        return np.array([np.argmax(values)], dtype=np.intp)
     part = np.argpartition(-values, k - 1)[:k]
     boundary = values[part].min()
     strict = part[values[part] > boundary]
@@ -264,3 +274,44 @@ def top_k_descending(values: np.ndarray, k: int) -> np.ndarray:
     # argpartition output would tie-break by partition order instead.
     order = np.lexsort((chosen, -values[chosen]))
     return chosen[order]
+
+
+#: Chunk growth for :func:`descending_stream`: the first pull is a single
+#: argmax (Algorithm 2's initialisation peeks every cursor once), later
+#: pulls grow geometrically so a deeply consumed stream converges to one
+#: stable argsort's worth of work.
+_FIRST_CHUNK = 1
+_CHUNK_GROWTH = 8
+_CHUNK_FLOOR = 64
+
+
+def descending_stream(
+    values: np.ndarray, budget: "Budget | None" = None
+) -> Iterator[tuple[int, float]]:
+    """Yield ``(index, value)`` by non-increasing value, index tie-break.
+
+    The order is exactly ``np.argsort(-values, kind="stable")`` --
+    :func:`top_k_descending` guarantees every prefix matches it, ties
+    included -- but it is computed lazily in geometrically growing
+    chunks, so a consumer that stops after a few items pays O(n) top-k
+    passes instead of a full O(n log n) sort. For an ascending order,
+    stream ``-values`` and negate the yielded values back.
+
+    Args:
+        budget: Optional solver budget; probed (at zero node weight) once
+            per chunk after the first, so anytime semantics reach into
+            candidate generation on wide rows.
+    """
+    n = int(values.shape[0])
+    served = 0
+    k = _FIRST_CHUNK
+    while served < n:
+        if budget is not None and served:
+            budget.checkpoint(weight=0)
+        k = min(n, k)
+        chunk = top_k_descending(values, k)[served:]
+        # One C-level conversion per chunk; yielding stays scalar only at
+        # the generator boundary, never in the scoring.
+        yield from zip(chunk.tolist(), values[chunk].tolist())
+        served = k
+        k = max(_CHUNK_FLOOR, served * _CHUNK_GROWTH)

@@ -2,7 +2,7 @@
 
 Two variants: a full argsort per query (simplest possible exact oracle,
 used as ground truth in tests) and a chunked variant that materialises the
-sorted order lazily with ``numpy.argpartition``. Greedy-GEACC usually
+sorted order lazily in top-k chunks. Greedy-GEACC usually
 consumes only a short prefix of each node's neighbour stream before the
 node saturates, so the chunked variant avoids the O(n log n) full sort in
 the common case.
@@ -14,6 +14,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.core.similarity import descending_stream
 from repro.index.base import NNIndex
 
 
@@ -36,35 +37,15 @@ class LinearScanIndex(NNIndex):
 class ChunkedLinearScanIndex(NNIndex):
     """Brute-force index that defers the full sort until actually needed.
 
-    Distances are computed once per query. The first ``chunk`` neighbours
-    come from an O(n) ``argpartition`` -- the common case inside
-    Greedy-GEACC, where most streams are consumed only a few entries
-    deep. Only if a consumer drains past the chunk does the stream pay
-    for one full O(n log n) argsort, then continues from it (skipping the
-    already-emitted prefix, which keeps the sequence exact even under
-    distance ties).
+    Distances are computed once per query and streamed through
+    :func:`repro.core.similarity.descending_stream` over their negation:
+    geometrically growing top-k chunks, the first a single argmin. Most
+    Greedy-GEACC streams are consumed only a few entries deep, so they
+    never pay for the O(n log n) sort. The sequence equals
+    :class:`LinearScanIndex`'s item for item, ties included.
     """
-
-    def __init__(self, points: np.ndarray, chunk: int = 64) -> None:
-        super().__init__(points)
-        if chunk < 1:
-            raise ValueError(f"chunk must be positive, got {chunk}")
-        self._chunk = chunk
 
     def stream(self, query: np.ndarray) -> Iterator[tuple[int, float]]:
         query = self._validate_query(query)
-        dists = _distances(self._points, query)
-        n = dists.shape[0]
-        emitted: set[int] = set()
-        if self._chunk < n:
-            prefix = np.argpartition(dists, self._chunk - 1)[: self._chunk]
-            prefix = prefix[np.argsort(dists[prefix], kind="stable")]
-            for idx in prefix:
-                idx = int(idx)
-                emitted.add(idx)
-                yield idx, float(dists[idx])
-        for idx in np.argsort(dists, kind="stable"):
-            idx = int(idx)
-            if idx in emitted:
-                continue
-            yield idx, float(dists[idx])
+        for idx, neg in descending_stream(-_distances(self._points, query)):
+            yield idx, -neg

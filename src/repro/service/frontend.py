@@ -33,7 +33,7 @@ from repro.service.engine import (
     MicroBatchEngine,
     PendingRequest,
 )
-from repro.service.journal import Journal
+from repro.service.journal import REAL_FS, FileSystem, Journal
 from repro.service.snapshot import (
     DEFAULT_RETAIN,
     CompactionStats,
@@ -119,10 +119,15 @@ class ArrangementService:
 
     @classmethod
     def create(
-        cls, journal_path: str | Path, config: StoreConfig, **kwargs: object
+        cls,
+        journal_path: str | Path,
+        config: StoreConfig,
+        *,
+        fs: FileSystem = REAL_FS,
+        **kwargs: object,
     ) -> "ArrangementService":
         """Start a brand-new service with an empty journal."""
-        journal = Journal.create(journal_path, config)
+        journal = Journal.create(journal_path, config, fs=fs)
         return cls(ArrangementStore(config), journal, **kwargs)  # type: ignore[arg-type]
 
     @classmethod
@@ -132,6 +137,7 @@ class ArrangementService:
         *,
         snapshot_dir: str | Path | None = None,
         config: StoreConfig | None = None,
+        fs: FileSystem = REAL_FS,
         **kwargs: object,
     ) -> "ArrangementService":
         """Restart from an existing journal (truncating any torn tail).
@@ -143,7 +149,7 @@ class ArrangementService:
         snapshots recovers to a fresh empty store instead of failing.
         """
         journal, store = Journal.recover(
-            journal_path, snapshot_dir=snapshot_dir, config=config
+            journal_path, snapshot_dir=snapshot_dir, config=config, fs=fs
         )
         return cls(store, journal, snapshot_dir=snapshot_dir, **kwargs)  # type: ignore[arg-type]
 
@@ -154,6 +160,7 @@ class ArrangementService:
         config: StoreConfig | None = None,
         *,
         snapshot_dir: str | Path | None = None,
+        fs: FileSystem = REAL_FS,
         **kwargs: object,
     ) -> "ArrangementService":
         """Recover when anything durable exists, otherwise create fresh.
@@ -163,18 +170,24 @@ class ArrangementService:
         A missing journal next to surviving snapshots still recovers --
         the snapshot is durable state, not a cache.
         """
-        durable = Path(journal_path).exists() or (
-            snapshot_dir is not None and bool(list_snapshots(snapshot_dir))
+        durable = fs.exists(journal_path) or (
+            snapshot_dir is not None and bool(list_snapshots(snapshot_dir, fs=fs))
         )
         if durable:
             return cls.recover(
-                journal_path, snapshot_dir=snapshot_dir, config=config, **kwargs
+                journal_path,
+                snapshot_dir=snapshot_dir,
+                config=config,
+                fs=fs,
+                **kwargs,
             )
         if config is None:
             raise ServiceError(
                 f"{journal_path} does not exist and no config was given"
             )
-        return cls.create(journal_path, config, snapshot_dir=snapshot_dir, **kwargs)
+        return cls.create(
+            journal_path, config, snapshot_dir=snapshot_dir, fs=fs, **kwargs
+        )
 
     # ------------------------------------------------------------------
     # The write-ahead spine

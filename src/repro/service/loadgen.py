@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.bounds import nn_capacity_bound, relaxation_bound
 from repro.core.model import Instance
 from repro.exceptions import ServiceError, ServiceOverloadedError
-from repro.service.engine import PendingRequest
+from repro.service.engine import DEFAULT_LADDER, PendingRequest
 from repro.service.frontend import ArrangementService
 from repro.service.journal import replay as replay_journal
 from repro.service.sharding import ShardCoordinator, ShardManager
@@ -286,7 +286,7 @@ def replay_timeline(
     batch_ms: float = 10.0,
     solve_timeout: float = 0.25,
     max_pending: int = 1024,
-    ladder: tuple[str, ...] = ("greedy", "random-u"),
+    ladder: tuple[str, ...] = DEFAULT_LADDER,
     bound: str = "relaxation",
     verify_replay: bool = True,
 ) -> ReplayReport:
@@ -355,7 +355,7 @@ def replay_timeline_sharded(
     shards: int,
     solve_timeout: float = 0.25,
     max_pending: int = 1024,
-    ladder: tuple[str, ...] = ("greedy", "random-u"),
+    ladder: tuple[str, ...] = DEFAULT_LADDER,
     bound: str = "relaxation",
     verify_replay: bool = True,
 ) -> ReplayReport:

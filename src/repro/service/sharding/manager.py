@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.exceptions import ServiceError
 from repro.service.engine import PendingRequest
 from repro.service.frontend import ArrangementService
-from repro.service.journal import REAL_FS, FileSystem, Journal
+from repro.service.journal import REAL_FS, FileSystem
 from repro.service.store import (
     CMD_POST_EVENT,
     CMD_REGISTER_USER,
@@ -76,12 +76,12 @@ class ShardManager:
         **service_kwargs: object,
     ) -> "ShardManager":
         """Create a fresh shard under ``root`` (journal + snapshot dir)."""
-        journal = Journal.create(cls.journal_path(root, shard_id), config, fs=fs)
-        service = ArrangementService(
-            ArrangementStore(config),
-            journal,
+        service = ArrangementService.create(
+            cls.journal_path(root, shard_id),
+            config,
             snapshot_dir=cls.snapshot_dir(root, shard_id),
-            **service_kwargs,  # type: ignore[arg-type]
+            fs=fs,
+            **service_kwargs,
         )
         return cls(shard_id, service)
 
@@ -101,17 +101,12 @@ class ShardManager:
         journal here degrades *this* shard down its ladder without the
         other shards replaying a single record.
         """
-        journal, store = Journal.recover(
+        service = ArrangementService.recover(
             cls.journal_path(root, shard_id),
             snapshot_dir=cls.snapshot_dir(root, shard_id),
             config=config,
             fs=fs,
-        )
-        service = ArrangementService(
-            store,
-            journal,
-            snapshot_dir=cls.snapshot_dir(root, shard_id),
-            **service_kwargs,  # type: ignore[arg-type]
+            **service_kwargs,
         )
         return cls(shard_id, service)
 

@@ -134,7 +134,7 @@ def test_respects_user_capacity_exactly():
 
 
 # ----------------------------------------------------------------------
-# _Cursor chunked stream pulls
+# _Cursor stream pulls
 # ----------------------------------------------------------------------
 
 
@@ -173,31 +173,12 @@ def test_cursor_preserves_stream_order_across_chunks():
 
 
 def test_cursor_first_pull_is_a_single_item():
-    # IndexNeighborOrders serves its first neighbour from one cheap
-    # argmax and only argsorts when a second item is demanded; a first
-    # pull larger than 1 would force that argsort for every node at
-    # initialisation time.
+    # Algorithm 2's initialisation peeks every cursor once; a first
+    # stream chunk is a single argmax, and reading ahead would make every
+    # node pay for a wider top-k before it is ever needed.
     cursor, stream = _cursor_on([(i, 50.0 - i) for i in range(50)])
     assert cursor.peek() == (0, 50.0)
     assert stream.pulled == 1
-
-
-def test_cursor_chunks_grow_geometrically_and_cap():
-    from repro.core.algorithms.greedy import _Cursor
-
-    items = [(i, 1000.0 - i) for i in range(1000)]
-    cursor, stream = _cursor_on(items)
-    pulls = []
-    consumed = 0
-    previous = 0
-    while cursor.peek() is not None and consumed < 400:
-        cursor.skip()
-        consumed += 1
-        if stream.pulled != previous:
-            pulls.append(stream.pulled - previous)
-            previous = stream.pulled
-    assert pulls[:4] == [1, 4, 16, 64]
-    assert all(size == _Cursor.CHUNK_CAP for size in pulls[4:])
 
 
 def test_cursor_peek_holds_and_finish_releases():

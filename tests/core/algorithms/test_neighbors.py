@@ -6,9 +6,9 @@ import pytest
 from repro.core.algorithms.neighbors import (
     IndexNeighborOrders,
     MatrixNeighborOrders,
-    _chunked_descending,
     neighbor_orders_for,
 )
+from repro.core.similarity import descending_stream
 from repro.exceptions import BudgetExceededError
 from repro.robustness.budget import Budget
 from repro.core.model import Instance
@@ -111,7 +111,7 @@ class TestChunkedStreams:
     def test_stream_is_exactly_stable_argsort_order(self):
         rng = np.random.default_rng(3)
         values = np.round(rng.random(200), 1)  # one-decimal grid: ties galore
-        stream = list(_chunked_descending(values))
+        stream = list(descending_stream(values))
         expected = [
             (int(i), float(values[i]))
             for i in np.argsort(-values, kind="stable")
@@ -121,14 +121,14 @@ class TestChunkedStreams:
     def test_zero_weight_probes_leave_node_accounting_alone(self):
         budget = Budget(node_limit=5)
         values = np.arange(300, dtype=np.float64)
-        assert len(list(_chunked_descending(values, budget))) == 300
+        assert len(list(descending_stream(values, budget))) == 300
         # Many chunks were pulled, yet no nodes were charged: the probe
         # must not perturb node-limited runs (digest stability).
         assert budget.nodes == 0
 
     def test_expired_deadline_interrupts_deep_consumption(self):
         budget = Budget(deadline=0.0)
-        stream = _chunked_descending(np.arange(10.0), budget)
+        stream = descending_stream(np.arange(10.0), budget)
         assert next(stream) == (9, 9.0)  # first chunk is served unprobed
         with pytest.raises(BudgetExceededError):
             list(stream)

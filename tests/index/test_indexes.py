@@ -95,22 +95,16 @@ def test_points_must_be_2d():
         LinearScanIndex(np.zeros(5))
 
 
-def test_chunked_invalid_chunk():
-    with pytest.raises(ValueError):
-        ChunkedLinearScanIndex(np.zeros((2, 2)), chunk=0)
-
-
-def test_chunked_various_chunk_sizes():
+def test_chunked_equals_linear_under_ties():
+    # Integer-grid points and queries put many points at equal distance;
+    # the chunked stream must still match the stable-argsort oracle item
+    # for item, indices and distances alike.
     rng = np.random.default_rng(4)
-    points = rng.uniform(0, 1, (37, 3))
-    query = rng.uniform(0, 1, 3)
-    expected = [i for i, _ in LinearScanIndex(points).stream(query)]
-    for chunk in (1, 2, 7, 37, 100):
-        got = [i for i, _ in ChunkedLinearScanIndex(points, chunk).stream(query)]
-        # Distances must agree (index ties may permute within equal dist).
-        dists_exp = np.linalg.norm(points[expected] - query, axis=1)
-        dists_got = np.linalg.norm(points[got] - query, axis=1)
-        np.testing.assert_allclose(dists_got, dists_exp, atol=1e-12)
+    points = rng.integers(0, 4, (300, 2)).astype(np.float64)
+    linear = LinearScanIndex(points)
+    chunked = ChunkedLinearScanIndex(points)
+    for query in rng.integers(0, 4, (20, 2)).astype(np.float64):
+        assert list(chunked.stream(query)) == list(linear.stream(query))
 
 
 def test_kdtree_invalid_leaf_size():

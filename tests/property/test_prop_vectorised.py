@@ -14,9 +14,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.algorithms.neighbors import _chunked_descending
 from repro.core.similarity import (
     SimilarityRowCache,
+    descending_stream,
     similarity_matrix,
     similarity_tiles,
     top_k_descending,
@@ -93,7 +93,7 @@ def test_top_k_prefix_matches_stable_argsort(values, data):
 @settings(max_examples=60, deadline=None)
 @given(tied_values())
 def test_chunked_stream_is_exactly_stable_argsort_order(values):
-    stream = list(_chunked_descending(values))
+    stream = list(descending_stream(values))
     expected = [
         (int(i), float(values[i]))
         for i in np.argsort(-values, kind="stable")

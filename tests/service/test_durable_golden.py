@@ -16,9 +16,8 @@ from pathlib import Path
 
 from repro.robustness.faultfs import FaultFS
 from repro.service.frontend import ArrangementService
-from repro.service.journal import Journal
 from repro.service.sharding import ShardCoordinator
-from repro.service.store import ArrangementStore, StoreConfig
+from repro.service.store import StoreConfig
 
 CONFIG = StoreConfig(dimension=2, t=10.0)
 
@@ -38,11 +37,8 @@ def run_service(fs: FaultFS) -> None:
     home = ROOT / "service"
     fs.mkdir(home)
     snapshots = home / "snapshots"
-    service = ArrangementService(
-        ArrangementStore(CONFIG),
-        Journal.create(home / "journal.jsonl", CONFIG, fs=fs),
-        threaded=False,
-        snapshot_dir=snapshots,
+    service = ArrangementService.create(
+        home / "journal.jsonl", CONFIG, fs=fs, threaded=False, snapshot_dir=snapshots
     )
     with service:
         first = service.post_event(2, [1.0, 1.0], [])
@@ -55,11 +51,8 @@ def run_service(fs: FaultFS) -> None:
         service.freeze_event(first)
         service.compact()
         service.register_user(1, [3.0, 7.0])
-    journal, store = Journal.recover(
-        home / "journal.jsonl", snapshot_dir=snapshots, fs=fs
-    )
-    recovered = ArrangementService(
-        store, journal, threaded=False, snapshot_dir=snapshots
+    recovered = ArrangementService.recover(
+        home / "journal.jsonl", snapshot_dir=snapshots, fs=fs, threaded=False
     )
     with recovered:
         _serve(recovered, late)
